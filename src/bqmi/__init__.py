@@ -41,10 +41,15 @@ from .measures import (
     default_ic_povm,
     measure_statistics,
 )
-from .optim import BoundedValue, OptimizerConfig, dykstra_project, finite_diff_check
+from .optim import (
+    BoundedValue,
+    DimensionCapError,
+    OptimizerConfig,
+    dykstra_project,
+    finite_diff_check,
+)
 from .broadcast import (
     BroadcastState,
-    DimensionCapError,
     GrowthCurve,
     broadcast_mi_symmetric,
     broadcast_mi_upper,

@@ -1,39 +1,29 @@
-"""Broadcast-copy mutual information: feasible-set solvers, de Finetti upper
-bounds, growth curves with classification, and structural-property checks.
+"""Broadcast-copy mutual information: the n-copy estimators, de Finetti
+upper bounds, growth curves with classification, and structural-property
+checks.
 
 The central estimator minimizes I(A^n:B^n) over n-copy broadcast states of a
-base state rho (every per-copy marginal equal to rho).  Minimization over a
-nonconvex parameterization only ever certifies an upper bound; every reported
-value is evaluated at a candidate projected onto the exact feasible set.
+base state rho (every per-copy marginal equal to rho), posed to
+optim.solve_marginal_problem as n blocks whose marginals are fixed to rho.
+Minimization over a nonconvex parameterization only ever certifies an upper
+bound; every reported value is evaluated at a candidate projected onto the
+exact feasible set.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import (
-    BoundedValue,
-    DensityParam,
-    MarginalSet,
-    OptimizerConfig,
-    PsdSet,
-    TraceOneSet,
-    dykstra_project,
-    entropy_combo,
-    marginal_penalty,
-    minimize_penalized,
-)
+from .optim import BoundedValue, OptimizerConfig, solve_marginal_problem
 from .qcore import (
     DensityOperator,
     ValidationError,
     expand_mat,
     mutual_information,
-    partial_trace_mat,
     permute_factors,
     shannon_entropy,
     trace_distance,
@@ -41,21 +31,9 @@ from .qcore import (
 from .states import (
     Ensemble,
     broadcast_layout,
-    copy_marginal_mat,
     definetti_broadcast,
     spectral_ensemble,
 )
-
-DEFAULT_DIM_CAP = 256
-
-
-def dim_cap():
-    """Hard cap on joint dimension; overridable via BQ_MAX_DIM."""
-    return int(os.environ.get("BQ_MAX_DIM", DEFAULT_DIM_CAP))
-
-
-class DimensionCapError(ValueError):
-    """Joint dimension would exceed the configured cap."""
 
 
 @dataclass
@@ -83,12 +61,6 @@ class GrowthCurve:
                         f"{self.classification}\n")
 
 
-def marginal_residual(joint: DensityOperator, base: DensityOperator, k: int) -> float:
-    """Frobenius deviation of the k-th copy marginal of joint from base."""
-    red = copy_marginal_mat(joint.mat, joint.layout, base.layout, k)
-    return float(np.linalg.norm(red - base.mat))
-
-
 def _copy_permutation(base_nf, n, perm):
     """Factor permutation sending copy block k to block perm[k]."""
     out = []
@@ -106,187 +78,48 @@ def twirl_copies(mat, dims, base_nf, n):
     return acc / len(perms)
 
 
-def _coerce_candidate(ws, expected_dim):
-    if isinstance(ws, BroadcastState):
-        m = ws.joint.mat
-    elif isinstance(ws, DensityOperator):
-        m = ws.mat
-    else:
-        m = np.asarray(ws, dtype=complex)
-    if m.shape != (expected_dim, expected_dim):
-        raise ValidationError(
-            f"warm start has shape {m.shape}, expected {(expected_dim, expected_dim)}")
-    return m
-
-
-def _default_candidates(rho, n):
-    """Always-feasible starting joints: factorized copies and the spectral
-    de Finetti state."""
-    power = rho.mat
-    for _ in range(n - 1):
-        power = np.kron(power, rho.mat)
-    cands = [power]
-    if n > 1:
-        cands.append(definetti_broadcast(spectral_ensemble(rho), n).mat)
-    return cands
-
-
 def _solve_broadcast(rho, n, cfg, warm_starts, symmetric):
     layout = broadcast_layout(rho.layout, n)
-    d = layout.dim
-    if d > dim_cap():
-        raise DimensionCapError(
-            f"joint dimension {d} exceeds cap {dim_cap()} (set BQ_MAX_DIM to raise)")
-    dims = layout.dims
-    base_nf = len(rho.layout.factors)
-    a_idx = layout.indices(layout.side_labels("A"))
-    b_idx = layout.indices(layout.side_labels("B"))
-    copy_idx = [layout.indices(tuple(f"{lab}{k}" for lab, _ in rho.layout.factors))
-                for k in range(1, n + 1)]
-    terms = [(1.0, a_idx), (1.0, b_idx), (-1.0, None)]
-
-    def maybe_twirl(m):
-        return twirl_copies(m, dims, base_nf, n) if (symmetric and n > 1) else m
-
-    par = DensityParam(d)
-
-    def objective(x):
-        s, cache = par.sigma(x)
-        st = maybe_twirl(s)
-        f, fmat = entropy_combo(st, dims, terms)
-        return f, par.grad_x(maybe_twirl(fmat), s, cache)
-
-    constraints = []
-    for k, idx in enumerate(copy_idx):
-        def con(x, idx=idx):
-            s, cache = par.sigma(x)
-            st = maybe_twirl(s)
-            cv, cg = marginal_penalty(st, dims, idx, rho.mat)
-            return cv, par.grad_x(maybe_twirl(cg), s, cache)
-        constraints.append((f"marginal_{k + 1}", con))
-
-    candidates = [maybe_twirl(c) for c in _default_candidates(rho, n)]
-    for ws in warm_starts or ():
-        candidates.append(maybe_twirl(_coerce_candidate(ws, d)))
-    inits = [par.init_from_matrix(c) for c in candidates]
-
-    diag = {}
     if n == 1:
         # The only 1-copy broadcast state is rho itself.
-        pool = [rho.mat]
-        diag["note"] = "n=1: feasible set is the singleton {rho}"
+        value, joint, residuals = mutual_information(rho), rho.mat, [0.0]
+        diag = {"note": "n=1: feasible set is the singleton {rho}"}
     else:
-        opt = minimize_penalized(objective, constraints, par.n_params, cfg,
-                                 inits=inits)
-        sigma_opt, _ = par.sigma(opt.argmin)
-        pool = [maybe_twirl(sigma_opt)] + candidates
-        diag = opt.summary()
+        dims = layout.dims
+        base_nf = len(rho.layout.factors)
 
-    projector = _BroadcastProjector(rho, n)
-    best = None
-    failures = []
-    feasible = []
-    for cand in pool:
-        try:
-            proj = projector.project(cand, tol=min(1e-10, cfg.tol_residual))
-        except RuntimeError as e:
-            failures.append(str(e))
-            continue
-        proj = maybe_twirl(proj)
-        mi_pre = _cut_mi(cand, dims, a_idx, b_idx)
-        joint = DensityOperator(layout, proj)
-        mi = mutual_information(joint)
-        residuals = [marginal_residual(joint, rho, k) for k in range(1, n + 1)]
-        if max(residuals) > cfg.tol_residual:
-            continue
-        feasible.append(joint)
-        if best is None or mi < best[0]:
-            best = (mi, joint, residuals, mi_pre)
-    if best is None:
-        raise RuntimeError(
-            "no candidate could be projected onto the broadcast feasible set: "
-            + "; ".join(failures))
-    mi, joint, residuals, mi_pre = best
-    diag["pre_projection_value"] = float(mi_pre)
-    diag["feasible_joints"] = feasible
-    state = BroadcastState(n=n, base=rho, joint=joint, marginal_residuals=residuals)
+        def candidates():
+            # A generator, so that no n-copy matrix is built before the
+            # solver has checked the dimension cap.
+            yield definetti_broadcast(spectral_ensemble(rho), n).mat
+            for ws in warm_starts or ():
+                yield ws.joint if isinstance(ws, BroadcastState) else ws
+
+        terms = [(1.0, layout.indices(layout.side_labels("A"))),
+                 (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
+        sol = solve_marginal_problem(
+            [(rho.layout.dims, rho.mat)] * n, terms, cfg, candidates(),
+            symmetrize=(lambda m: twirl_copies(m, dims, base_nf, n)) if symmetric else None)
+        value, joint, residuals, diag = sol.value, sol.joint, sol.residuals, sol.diagnostics
+        diag["feasible_joints"] = [DensityOperator(layout, m) for m in sol.feasible]
     bv = BoundedValue(
-        value=float(mi),
+        value=value,
         direction="upper",
         method=("symmetric-" if symmetric else "") + "penalized-gd+dykstra",
-        residuals={"marginal_max": float(max(residuals))},
+        residuals={"marginal_max": max(residuals)},
         diagnostics=diag,
     )
-    bv.diagnostics["broadcast_state"] = state
+    bv.diagnostics["broadcast_state"] = BroadcastState(
+        n, rho, DensityOperator(layout, joint), residuals)
     return bv
-
-
-class _BroadcastProjector:
-    """Dykstra projection onto the n-copy broadcast feasible set of rho.
-
-    Works in the support subspace supp(rho)^(x n): any PSD joint whose copy
-    marginals equal rho is supported there, and there the constraints become
-    plain marginal constraints with a full-rank target, so the projection
-    has a strictly feasible interior point (rho^(x n)) and converges fast.
-    """
-
-    SUPPORT_CUTOFF = 1e-9
-
-    def __init__(self, rho: DensityOperator, n: int):
-        lam, v = np.linalg.eigh(rho.mat)
-        keep = lam > self.SUPPORT_CUTOFF
-        self.n = n
-        if keep.all():
-            self.s = None
-            self.w = None
-            r = rho.dim
-            target = rho.mat
-        else:
-            self.s = v[:, keep]
-            w = self.s
-            for _ in range(n - 1):
-                w = np.kron(w, self.s)
-            self.w = w
-            r = self.s.shape[1]
-            target = self.s.conj().T @ rho.mat @ self.s
-        cdims = (r,) * n
-        self.sets = [PsdSet(), TraceOneSet()] + [
-            MarginalSet(cdims, (k,), target, name=f"marginal_{k + 1}")
-            for k in range(n)]
-
-    def project(self, cand, tol=1e-10):
-        if self.w is None:
-            x = cand
-        else:
-            x = self.w.conj().T @ cand @ self.w
-        x = dykstra_project(x, self.sets, tol=tol, max_sweeps=5000)
-        if self.w is not None:
-            x = self.w @ x @ self.w.conj().T
-        return x
-
-
-def _cut_mi(mat, dims, a_idx, b_idx):
-    f, _dummy = _entropies_only(mat, dims, a_idx, b_idx)
-    return f
-
-
-def _entropies_only(mat, dims, a_idx, b_idx):
-    def ent(m):
-        lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-        lam = lam[lam > 1e-14]
-        return float(-(lam * np.log2(lam)).sum())
-    sa = ent(partial_trace_mat(mat, dims, a_idx))
-    sb = ent(partial_trace_mat(mat, dims, b_idx))
-    sab = ent(mat)
-    return sa + sb - sab, (sa, sb, sab)
 
 
 def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
                        warm_starts=None) -> BoundedValue:
     """Upper bound on the n-copy broadcast MI (I_b)_n of rho.
 
-    Minimizes the cut MI over the broadcast feasible set by multi-start
-    penalized gradient descent; the reported value is the MI at the best
+    Minimizes the cut MI over the broadcast feasible set with
+    solve_marginal_problem; the reported value is the MI at the best
     Dykstra-projected feasible candidate.  Factorized copies and the
     spectral de Finetti state are always included as warm starts, so the
     value never exceeds n*I(rho) (+ tolerance); any caller-supplied

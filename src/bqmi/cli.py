@@ -18,16 +18,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .broadcast import (
-    DimensionCapError,
-    broadcast_mi_upper,
-    dim_cap,
-    growth_curve,
-    property_checks,
-)
+from .broadcast import growth_curve, property_checks
 from .entms import ExtensionSpec, cemi_upper, chain_report, ecsq_upper, eic_lower, esq_upper
 from .measures import classical_mi_max, default_ic_povm
-from .optim import BoundedValue, OptimizerConfig
+from .optim import BoundedValue, DimensionCapError, OptimizerConfig, dim_cap
 from .qcore import ValidationError, mutual_information
 from .states import (
     StateSpec,
@@ -151,7 +145,7 @@ def cmd_chain(args):
     cfg = _config_from(args)
     t0 = time.perf_counter()
     rep = chain_report(rho, cfg, ns=tuple(range(1, args.max_copies + 1)),
-                       name=getattr(args, "in"), jobs=args.jobs)
+                       name=getattr(args, "in"))
     doc = rep.to_dict()
     doc["manifest"] = _manifest(args, cfg)
     _write_report(doc, args.out, time.perf_counter() - t0)
@@ -251,8 +245,6 @@ def build_parser():
     p.add_argument("--dim-ext", type=int, default=2, dest="dim_ext",
                    help="per-side extension dim (cemi)")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
-    p.add_argument("--json", action="store_true", help="accepted for compatibility; "
-                   "reports are always JSON")
     _add_solver_flags(p)
     p.set_defaults(fn=cmd_measure)
 
@@ -267,7 +259,6 @@ def build_parser():
     p.add_argument("--in", required=True)
     p.add_argument("--max-copies", type=int, default=2, dest="max_copies")
     p.add_argument("--out", default=None, help="JSON path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_solver_flags(p, default_restarts=3, default_iters=150)
     p.set_defaults(fn=cmd_chain)
 

@@ -3,6 +3,10 @@ entanglement, bounded-dimension squashed entanglement and CEMI uppers, the
 PPT-relaxed measured-correlation lower bound, and the inequality-chain
 report.
 
+The squashed and CEMI uppers are optim.solve_marginal_problem over a rho
+block and one free extension block; ecsq_upper and eic_lower run their own
+descent and projections.
+
 All minimizations over ensembles/extensions report direction 'upper'; the
 measured-correlation bound reports 'lower' (the PPT set contains the
 separable set, so its minimum can only under-shoot)."""
@@ -10,7 +14,6 @@ separable set, so its minimum can only under-shoot)."""
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,16 +21,15 @@ import numpy as np
 from .measures import Povm, default_ic_povm, measure_statistics
 from .optim import (
     BoundedValue,
-    DensityParam,
-    MarginalSet,
+    DimensionCapError,
     OptimizerConfig,
     PptSet,
     PsdSet,
     TraceOneSet,
+    dim_cap,
     dykstra_project,
-    entropy_combo,
-    marginal_penalty,
     minimize_penalized,
+    solve_marginal_problem,
 )
 from .qcore import (
     LOG2E,
@@ -42,7 +44,11 @@ from .qcore import (
     tensor,
     trace_distance,
 )
-from .states import Ensemble, spectral_ensemble
+from .states import Ensemble
+
+# Solver failures that chain_report records as a note; anything else is a
+# bug and propagates.
+SOLVER_FAILURES = (RuntimeError, FloatingPointError, DimensionCapError)
 
 
 @dataclass(frozen=True)
@@ -89,17 +95,12 @@ def _ensemble_objective_terms(r_k, dims, a_idx, b_idx):
     for r in r_k:
         p = r.trace().real
         if p < 1e-14:
-            val += 0.0
             grads.append(np.zeros((d, d), dtype=complex))
             continue
         ra = partial_trace_mat(r, dims, a_idx)
         rb = partial_trace_mat(r, dims, b_idx)
-
-        def phi(m):
-            lam = np.clip(np.linalg.eigvalsh(m), 1e-14, None)
-            return float(-(lam * np.log2(lam)).sum())
-
-        val += phi(ra) + phi(rb) - phi(r) + p * np.log2(p)
+        sa, sb, sab = (shannon_entropy(np.linalg.eigvalsh(m)) for m in (ra, rb, r))
+        val += sa + sb - sab + p * np.log2(p)
         grad = (logm2_psd(r)
                 - expand_mat(logm2_psd(ra), dims, a_idx)
                 - expand_mat(logm2_psd(rb), dims, b_idx)
@@ -236,81 +237,21 @@ def _extension_layout(rho, extra_factors):
     return SubsystemLayout(factors, sides)
 
 
-def _solve_extension(rho, extra_factors, half_terms, cfg, warm_starts, method):
-    """Minimize an entropy combination over extensions of rho (marginal on
-    the original AB factors fixed), with final support-compressed projection."""
-    layout = _extension_layout(rho, extra_factors)
-    dims = layout.dims
-    d = layout.dim
-    d_ext = d // rho.dim
-    ab_idx = layout.indices(rho.layout.labels)
-    par = DensityParam(d)
-
-    def objective(x):
-        s, cache = par.sigma(x)
-        f, fmat = entropy_combo(s, dims, half_terms)
-        return 0.5 * f, par.grad_x(0.5 * fmat, s, cache)
-
-    def constraint(x):
-        s, cache = par.sigma(x)
-        cv, cg = marginal_penalty(s, dims, ab_idx, rho.mat)
-        return cv, par.grad_x(cg, s, cache)
-
-    candidates = [np.kron(rho.mat, np.eye(d_ext) / d_ext)]
-    for ws in warm_starts or ():
-        m = ws.mat if isinstance(ws, DensityOperator) else np.asarray(ws, dtype=complex)
-        if m.shape != (d, d):
-            raise ValidationError(f"warm start has shape {m.shape}, expected {(d, d)}")
-        candidates.append(m)
-    inits = [par.init_from_matrix(c) for c in candidates]
-
-    opt = minimize_penalized(objective, [("marginal", constraint)],
-                             par.n_params, cfg, inits=inits)
-    sigma_opt, _ = par.sigma(opt.argmin)
-    pool = [sigma_opt] + candidates
-
-    # Support compression: feasible extensions live in supp(rho) x extension.
-    lam, v = np.linalg.eigh(rho.mat)
-    keep = lam > 1e-9
-    if keep.all():
-        w = None
-        cdims = (rho.dim, d_ext)
-        target = rho.mat
-    else:
-        s_basis = v[:, keep]
-        w = np.kron(s_basis, np.eye(d_ext))
-        cdims = (int(keep.sum()), d_ext)
-        target = s_basis.conj().T @ rho.mat @ s_basis
-    sets = [PsdSet(), TraceOneSet(),
-            MarginalSet(cdims, (0,), target, name="ab_marginal")]
-
-    best = None
-    for cand in pool:
-        x = cand if w is None else w.conj().T @ cand @ w
-        x = dykstra_project(x, sets, tol=min(1e-10, cfg.tol_residual), max_sweeps=5000)
-        if w is not None:
-            x = w @ x @ w.conj().T
-        ext = DensityOperator(layout, x)
-        val, _ = entropy_combo(ext.mat, dims, half_terms)
-        val *= 0.5
-        res = float(np.linalg.norm(
-            partial_trace_mat(ext.mat, dims, ab_idx) - rho.mat))
-        if res > cfg.tol_residual:
-            continue
-        if best is None or val < best[0]:
-            best = (val, ext, res)
-    if best is None:
-        raise RuntimeError("no extension candidate met the marginal tolerance")
-    val, ext, res = best
-    diag = opt.summary()
+def _solve_extension(rho, layout, terms, cfg, warm_starts, method):
+    """Minimize an entropy combination over extensions of rho to layout (rho's
+    factors followed by the extension's): a rho block plus one free block."""
+    nf = len(rho.layout.factors)
+    sol = solve_marginal_problem(
+        [(rho.layout.dims, rho.mat), (layout.dims[nf:], None)],
+        terms, cfg, warm_starts or ())
     bv = BoundedValue(
-        value=float(max(val, 0.0)),
+        value=max(sol.value, 0.0),
         direction="upper",
         method=method,
-        residuals={"ab_marginal": res},
-        diagnostics=diag,
+        residuals={"ab_marginal": sol.residuals[0]},
+        diagnostics=sol.diagnostics,
     )
-    bv.diagnostics["extension"] = ext
+    bv.diagnostics["extension"] = DensityOperator(layout, sol.joint)
     return bv
 
 
@@ -322,14 +263,13 @@ def esq_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
         raise ValidationError("esq_upper needs an ExtensionSpec of kind 'squashed'")
     dim_e = spec.dims.get("E", rho.dim)
     layout = _extension_layout(rho, (("E", dim_e),))
-    idx = {lab: layout.indices((lab,)) for lab in layout.labels}
     a = layout.indices(rho.layout.side_labels("A"))
-    e = idx["E"]
+    e = layout.indices(("E",))
     be = layout.indices(rho.layout.side_labels("B") + ("E",))
     ae = tuple(sorted(a + e))
-    # I(A:BE) - I(A:E) = S(BE) - S(ABE) - S(E) + S(AE).
-    terms = [(1.0, be), (-1.0, None), (-1.0, e), (1.0, ae)]
-    return _solve_extension(rho, (("E", dim_e),), terms, cfg, warm_starts,
+    # I(A:BE) - I(A:E) = S(BE) - S(ABE) - S(E) + S(AE), halved in the coefficients.
+    terms = [(0.5, be), (-0.5, None), (-0.5, e), (0.5, ae)]
+    return _solve_extension(rho, layout, terms, cfg, warm_starts,
                             method=f"extension-gd(dimE={dim_e})")
 
 
@@ -341,17 +281,17 @@ def cemi_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
         raise ValidationError("cemi_upper needs an ExtensionSpec of kind 'cemi'")
     da = spec.dims.get("A'", 2)
     db = spec.dims.get("B'", 2)
-    extra = (("A'", da), ("B'", db))
-    layout = _extension_layout(rho, extra)
+    layout = _extension_layout(rho, (("A'", da), ("B'", db)))
     ap = layout.indices(("A'",))
     bp = layout.indices(("B'",))
     aap = tuple(sorted(layout.indices(rho.layout.side_labels("A")) + ap))
     bbp = tuple(sorted(layout.indices(rho.layout.side_labels("B")) + bp))
     apbp = tuple(sorted(ap + bp))
-    # I(AA':BB') - I(A':B') = S(AA') + S(BB') - S(all) - S(A') - S(B') + S(A'B').
-    terms = [(1.0, aap), (1.0, bbp), (-1.0, None),
-             (-1.0, ap), (-1.0, bp), (1.0, apbp)]
-    return _solve_extension(rho, extra, terms, cfg, warm_starts,
+    # I(AA':BB') - I(A':B') = S(AA') + S(BB') - S(all) - S(A') - S(B') + S(A'B'),
+    # halved in the coefficients.
+    terms = [(0.5, aap), (0.5, bbp), (-0.5, None),
+             (-0.5, ap), (-0.5, bp), (0.5, apbp)]
+    return _solve_extension(rho, layout, terms, cfg, warm_starts,
                             method=f"cemi-extension-gd(dims=({da},{db}))")
 
 
@@ -469,11 +409,12 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
 
 
 def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
-                 name="state", tol=2e-3, jobs=1) -> ChainReport:
+                 name="state", tol=2e-3) -> ChainReport:
     """Evaluate the inequality chain 2E^C_sq >= per-copy broadcast MI limit
     >= 2E_I >= 2E^Q_sq together with the measured-correlation lower bound,
-    and check every verifiable cross-direction pair."""
-    from .broadcast import broadcast_mi_upper, dim_cap
+    and check every verifiable cross-direction pair.  Solver failures
+    (SOLVER_FAILURES) become notes and missing entries; other errors raise."""
+    from .broadcast import broadcast_mi_upper
     from .states import definetti_broadcast
 
     entries = {}
@@ -487,7 +428,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     try:
         results["ecsq"] = ecsq_upper(rho, None, cfg)
         ensemble = results["ecsq"].diagnostics.get("ensemble")
-    except Exception as e:
+    except SOLVER_FAILURES as e:
         notes.append(f"ecsq failed: {e}")
 
     dim_e = max(rho.dim, len(ensemble.members) if ensemble else 0)
@@ -501,44 +442,25 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         else:
             dim_p = 2
 
-    def run_esq():
-        return esq_upper(rho, ExtensionSpec("squashed", {"E": dim_e}), cfg,
-                         warm_starts=esq_warm)
+    da = int(np.prod([d for lab, d in rho.layout.factors if rho.layout.sides[lab] == "A"]))
+    tasks = {
+        "esq": lambda: esq_upper(rho, ExtensionSpec("squashed", {"E": dim_e}), cfg,
+                                 warm_starts=esq_warm),
+        "cemi": lambda: cemi_upper(rho, ExtensionSpec("cemi", {"A'": dim_p, "B'": dim_p}),
+                                   cfg, warm_starts=cemi_warm),
+        "eic": lambda: eic_lower(rho, default_ic_povm(da), default_ic_povm(rho.dim // da), cfg),
+    }
+    for k, f in tasks.items():
+        try:
+            results[k] = f()
+        except SOLVER_FAILURES as e:
+            notes.append(f"{k} failed: {e}")
 
-    def run_cemi():
-        return cemi_upper(rho, ExtensionSpec("cemi", {"A'": dim_p, "B'": dim_p}),
-                          cfg, warm_starts=cemi_warm)
-
-    def run_eic():
-        da = int(np.prod([d for lab, d in rho.layout.factors
-                          if rho.layout.sides[lab] == "A"]))
-        return eic_lower(rho, default_ic_povm(da), default_ic_povm(rho.dim // da), cfg)
-
-    tasks = {"esq": run_esq, "cemi": run_cemi, "eic": run_eic}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = {k: ex.submit(f) for k, f in tasks.items()}
-            for k in tasks:
-                try:
-                    results[k] = futs[k].result()
-                except Exception as e:  # partial reports allowed
-                    notes.append(f"{k} failed: {e}")
-    else:
-        for k, f in tasks.items():
-            try:
-                results[k] = f()
-            except Exception as e:
-                notes.append(f"{k} failed: {e}")
-
-    if "ecsq" in results:
-        ecsq = results["ecsq"]
-        entries["2ecsq"] = BoundedValue(2 * ecsq.value, "upper", ecsq.method,
-                                        ecsq.residuals, ecsq.diagnostics)
-    for key, label in (("esq", "2esq"), ("cemi", "2cemi")):
+    for key in ("ecsq", "esq", "cemi"):
         if key in results:
             bv = results[key]
-            entries[label] = BoundedValue(2 * bv.value, "upper", bv.method,
-                                          bv.residuals, bv.diagnostics)
+            entries["2" + key] = BoundedValue(2 * bv.value, "upper", bv.method,
+                                              bv.residuals, bv.diagnostics)
     if "eic" in results:
         entries["eic"] = results["eic"]
 
@@ -552,7 +474,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
             warm.append(definetti_broadcast(ensemble, nn).mat)
         try:
             up = broadcast_mi_upper(rho, nn, cfg, warm_starts=warm)
-        except Exception as e:
+        except SOLVER_FAILURES as e:
             notes.append(f"broadcast n={nn} failed: {e}")
             continue
         prev = up.diagnostics["broadcast_state"].joint.mat

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import BoundedValue, OptimizerConfig, finite_diff_check, minimize_penalized
+from .optim import BoundedValue, OptimizerConfig, minimize_penalized
 from .qcore import (
     DensityOperator,
     ValidationError,
@@ -268,18 +268,10 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
     inits.append(np.concatenate([pa.init_from_povm(default_ic_povm(da)),
                                  pb.init_from_povm(default_ic_povm(db))]))
 
-    rng_check = np.random.default_rng(cfg.master_seed)
-    x_chk = rng_check.standard_normal(pa.n_params + pb.n_params)
-    gerr = finite_diff_check(neg_fun, x_chk, 1e-5, max_coords=64, seed=cfg.master_seed)
-    use_fd = gerr > 1e-3
-    fun = _fd_wrap(neg_fun) if use_fd else neg_fun
-
-    opt = minimize_penalized(fun, [], pa.n_params + pb.n_params, cfg, inits=inits)
+    opt = minimize_penalized(neg_fun, [], pa.n_params + pb.n_params, cfg, inits=inits)
     value = -opt.value
     mi_q = mutual_information(rho)
     diag = opt.summary()
-    diag["gradient_check"] = float(gerr)
-    diag["finite_difference_fallback"] = bool(use_fd)
     xa, xb = split(opt.argmin)
     ea, _ = pa.effects(xa)
     eb, _ = pb.effects(xb)
@@ -294,14 +286,3 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
     bv.diagnostics["povm_b"] = Povm(tuple(eb))
     return bv
 
-
-def _fd_wrap(fun, h=1e-6):
-    def wrapped(x):
-        f, _ = fun(x)
-        g = np.empty_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = h
-            g[i] = (fun(x + e)[0] - fun(x - e)[0]) / (2 * h)
-        return f, g
-    return wrapped

@@ -1,20 +1,41 @@
 """Reusable optimization engines: penalized multi-start gradient descent,
-finite-difference gradient validation, and Dykstra alternating projections
-onto convex sets of Hermitian matrices."""
+finite-difference gradient validation, Dykstra alternating projections onto
+convex sets of Hermitian matrices, and solve_marginal_problem, the one
+constrained-state solver behind the broadcast, squashed and CEMI bounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import itertools
+import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qcore import (
     LOG2E,
+    ValidationError,
     expand_mat,
     logm2_psd,
     partial_trace_mat,
     partial_transpose_mat,
+    shannon_entropy,
 )
+
+DEFAULT_DIM_CAP = 256
+# Eigenvalues of a fixed marginal above this span the support that
+# solve_marginal_problem projects in.
+SUPPORT_CUTOFF = 1e-9
+
+
+def dim_cap():
+    """Hard cap on the joint dimension of a constrained-state solve;
+    overridable via BQ_MAX_DIM."""
+    return int(os.environ.get("BQ_MAX_DIM", DEFAULT_DIM_CAP))
+
+
+class DimensionCapError(ValueError):
+    """Joint dimension would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -297,11 +318,6 @@ def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
     raise RuntimeError(f"dykstra_project did not converge; residuals {res}")
 
 
-def relax_config(cfg: OptimizerConfig, **kw) -> OptimizerConfig:
-    """Copy a config with some fields replaced."""
-    return replace(cfg, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Factor parameterization of density matrices and entropic objectives.
 
@@ -365,9 +381,7 @@ def entropy_combo(sigma, dims, terms):
     fmat = np.zeros((d, d), dtype=complex)
     for coef, keep in terms:
         red = sigma if keep is None else partial_trace_mat(sigma, dims, keep)
-        lam = np.linalg.eigvalsh(red)
-        lam = np.clip(lam, 1e-14, None)
-        f += coef * float(-(lam * np.log2(lam)).sum())
+        f += coef * shannon_entropy(np.linalg.eigvalsh(red))
         gred = -(logm2_psd(red) + LOG2E * np.eye(red.shape[0]))
         fmat += coef * (gred if keep is None else expand_mat(gred, dims, keep))
     return f, fmat
@@ -379,3 +393,126 @@ def marginal_penalty(sigma, dims, keep_idx, target):
     val = float(np.linalg.norm(dev) ** 2)
     grad = 2.0 * expand_mat(dev, dims, keep_idx)
     return val, grad
+
+
+@dataclass
+class MarginalSolution:
+    """Best feasible joint found by solve_marginal_problem."""
+
+    value: float  # the entropy combination at joint
+    joint: np.ndarray
+    residuals: list  # Frobenius marginal deviation, one per fixed block
+    feasible: list  # every projected candidate that met the tolerance
+    diagnostics: dict
+
+
+def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
+                           symmetrize=None) -> MarginalSolution:
+    """Minimize an entropy combination over joint states with fixed marginals.
+
+    blocks: the joint's contiguous factor groups in tensor order, each a
+    (dims, target) pair whose target is the block's fixed marginal, or None
+    for a free block.  terms: entropy_combo terms over the concatenated
+    factor dims.  candidates: extra starting joints (matrices or objects with
+    a .mat), consumed only after the BQ_MAX_DIM check; the product of the
+    targets, maximally mixed on free blocks, always comes first.
+    symmetrize: an optional linear self-adjoint projection (such as a copy
+    twirl) applied to every candidate, iterate and gradient.
+
+    Runs the penalized DensityParam descent from the candidates, then
+    projects its optimum and every candidate onto the feasible set and
+    returns the feasible joint with the lowest exact value.  Any PSD joint
+    with these marginals lives in the product of the targets' supports, so
+    the Dykstra projection runs there, where each target is full rank and
+    the product candidate is an interior point.  Raises DimensionCapError
+    above the cap and RuntimeError when no candidate meets cfg.tol_residual.
+    """
+    dims = tuple(d for bdims, _ in blocks for d in bdims)
+    d = int(np.prod(dims))
+    if d > dim_cap():
+        raise DimensionCapError(
+            f"joint dimension {d} exceeds cap {dim_cap()} (set BQ_MAX_DIM to raise)")
+    sym = symmetrize or (lambda m: m)
+
+    fixed = []  # (factor indices, target) per fixed block
+    parts = []  # factors of the product candidate
+    bases = []  # support basis per block; identity on free and full-rank ones
+    compressed = []  # (block position, target within its support)
+    start = 0
+    for k, (bdims, target) in enumerate(blocks):
+        bd = int(np.prod(bdims))
+        basis = np.eye(bd)
+        if target is None:
+            parts.append(basis / bd)
+        else:
+            target = np.asarray(target, dtype=complex)
+            fixed.append((tuple(range(start, start + len(bdims))), target))
+            parts.append(target)
+            lam, v = np.linalg.eigh(target)
+            if (lam <= SUPPORT_CUTOFF).any():
+                basis = v[:, lam > SUPPORT_CUTOFF]
+                target = basis.conj().T @ target @ basis
+            compressed.append((k, target))
+        bases.append(basis)
+        start += len(bdims)
+
+    cands = []
+    for c in itertools.chain([functools.reduce(np.kron, parts)], candidates):
+        c = np.asarray(getattr(c, "mat", c), dtype=complex)
+        if c.shape != (d, d):
+            raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
+        cands.append(sym(c))
+
+    par = DensityParam(d)
+
+    def objective(x):
+        s, cache = par.sigma(x)
+        f, fmat = entropy_combo(sym(s), dims, terms)
+        return f, par.grad_x(sym(fmat), s, cache)
+
+    def penalty(idx, target):
+        def con(x):
+            s, cache = par.sigma(x)
+            cv, cg = marginal_penalty(sym(s), dims, idx, target)
+            return cv, par.grad_x(sym(cg), s, cache)
+        return con
+
+    constraints = [(f"marginal_{k + 1}", penalty(idx, t))
+                   for k, (idx, t) in enumerate(fixed)]
+    opt = minimize_penalized(objective, constraints, par.n_params, cfg,
+                             inits=[par.init_from_matrix(c) for c in cands])
+    pool = [sym(par.sigma(opt.argmin)[0])] + cands
+
+    w = None
+    if any(b.shape[0] != b.shape[1] for b in bases):
+        w = functools.reduce(np.kron, bases)
+    cdims = [b.shape[1] for b in bases]
+    sets = [PsdSet(), TraceOneSet()] + [
+        MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
+
+    best = None
+    feasible = []
+    failures = []
+    for cand in pool:
+        x = cand if w is None else w.conj().T @ cand @ w
+        try:
+            x = dykstra_project(x, sets, tol=min(1e-10, cfg.tol_residual), max_sweeps=5000)
+        except RuntimeError as e:
+            failures.append(str(e))
+            continue
+        x = sym(x if w is None else w @ x @ w.conj().T)
+        res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
+        if max(res, default=0.0) > cfg.tol_residual:
+            continue
+        feasible.append(x)
+        val, _ = entropy_combo(x, dims, terms)
+        if best is None or val < best[0]:
+            best = (val, x, res, cand)
+    if best is None:
+        raise RuntimeError("no candidate could be projected onto the marginal "
+                           "constraints: " + "; ".join(failures))
+    val, x, res, cand = best
+    diag = opt.summary()
+    diag["pre_projection_value"] = float(entropy_combo(cand, dims, terms)[0])
+    return MarginalSolution(value=float(val), joint=x, residuals=res,
+                            feasible=feasible, diagnostics=diag)

@@ -113,14 +113,6 @@ class DensityOperator:
         return self.layout.dim
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def tensor(a, b):
     """Kronecker product."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -205,37 +197,24 @@ def partial_transpose(rho: DensityOperator, side="B"):
     return partial_transpose_mat(rho.mat, rho.layout.dims, axes)
 
 
-def hermitian_eig(h) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = np.asarray(h, dtype=complex)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > 1e-8:
-        raise ValidationError(f"matrix not Hermitian: deviation {dev:.3e}")
-    lam, v = np.linalg.eigh(h)
-    return Spectrum(lam[::-1].copy(), v[:, ::-1].copy())
+def shannon_entropy(p) -> float:
+    """Shannon entropy -sum p log2 p of a probability vector, in bits.
 
-
-def _entropy_from_eigs(lam):
-    lam = np.asarray(lam, dtype=float)
-    bad = lam[lam < -EIG_NEG_TOL]
-    if bad.size:
-        raise ValidationError(f"eigenvalue {bad.min():.3e} too negative for entropy")
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > ENTROPY_CLAMP]
-    return float(-(lam * np.log2(lam)).sum())
+    The one entropy kernel: von Neumann entropies are Shannon entropies of
+    spectra.  Entries at or below ENTROPY_CLAMP count as 0 (0 log 0 = 0).
+    """
+    p = np.asarray(p, dtype=float).ravel()
+    p = p[p > ENTROPY_CLAMP]
+    return float(-(p * np.log2(p)).sum())
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho, in bits.  Accepts a DensityOperator or matrix."""
     m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
-    return _entropy_from_eigs(np.linalg.eigvalsh(m))
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy of a probability vector, in bits."""
-    p = np.asarray(p, dtype=float).ravel()
-    p = p[p > ENTROPY_CLAMP]
-    return float(-(p * np.log2(p)).sum())
+    lam = np.linalg.eigvalsh(m)
+    if lam[0] < -EIG_NEG_TOL:
+        raise ValidationError(f"eigenvalue {lam[0]:.3e} too negative for entropy")
+    return shannon_entropy(lam)
 
 
 def mutual_information(rho: DensityOperator) -> float:
@@ -245,12 +224,9 @@ def mutual_information(rho: DensityOperator) -> float:
     if not a or not b:
         raise ValidationError("layout must have factors on both sides")
     dims = rho.layout.dims
-    sa = _entropy_from_eigs(np.linalg.eigvalsh(
-        partial_trace_mat(rho.mat, dims, rho.layout.indices(a))))
-    sb = _entropy_from_eigs(np.linalg.eigvalsh(
-        partial_trace_mat(rho.mat, dims, rho.layout.indices(b))))
-    sab = von_neumann_entropy(rho)
-    return sa + sb - sab
+    sa = von_neumann_entropy(partial_trace_mat(rho.mat, dims, rho.layout.indices(a)))
+    sb = von_neumann_entropy(partial_trace_mat(rho.mat, dims, rho.layout.indices(b)))
+    return sa + sb - von_neumann_entropy(rho)
 
 
 def kl_divergence(p, q) -> float:
@@ -287,12 +263,7 @@ def binary_entropy(x) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x)."""
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"binary_entropy argument {x!r} outside [0, 1]")
-    out = 0.0
-    if x > 0:
-        out -= x * np.log2(x)
-    if x < 1:
-        out -= (1 - x) * np.log2(1 - x)
-    return float(out)
+    return shannon_entropy([x, 1 - x])
 
 
 def logm2_psd(mat, clamp=1e-14):

@@ -91,6 +91,16 @@ def test_curve_cap_exits_4(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "c.csv")]) == 4
 
 
+@pytest.mark.parametrize("argv", [["--measure", "esq", "--dim-e", "4"],
+                                  ["--measure", "cemi", "--dim-ext", "2"]])
+def test_measure_extension_cap_exits_4(tmp_path, monkeypatch, argv):
+    # bell is 4-dimensional, so both extensions solve at d=16 > 8
+    bell = tmp_path / "bell.json"
+    run(["state", "--family", "bell", "--out", str(bell)])
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    assert run(["measure", "--in", str(bell), *argv]) == 4
+
+
 def test_chain_corrupted_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -102,7 +112,7 @@ def test_chain_cc_consistent(tmp_path, capsys):
     run(["state", "--family", "cc", "--out", str(cc)])
     out = tmp_path / "chain.json"
     rc = run(["chain", "--in", str(cc), "--restarts", "2", "--max-iters", "80",
-              "--jobs", "1", "--out", str(out)])
+              "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "consistent"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bqmi.entms
 from bqmi.entms import (
     ChainReport,
     ExtensionSpec,
@@ -14,7 +15,7 @@ from bqmi.entms import (
     esq_upper,
 )
 from bqmi.measures import Povm, default_ic_povm
-from bqmi.optim import OptimizerConfig
+from bqmi.optim import DimensionCapError, OptimizerConfig
 from bqmi.qcore import (
     DensityOperator,
     ValidationError,
@@ -125,6 +126,12 @@ def test_esq_separable_with_flag_warm_start():
     assert bv.value <= 1e-3
 
 
+def test_esq_dimension_cap_enforced(monkeypatch):
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    with pytest.raises(DimensionCapError, match="cap"):
+        esq_upper(bell_state(), ExtensionSpec("squashed", {"E": 4}), CFG)
+
+
 def test_cemi_bell_with_trivial_extension():
     bv = cemi_upper(bell_state(), ExtensionSpec("cemi", {"A'": 1, "B'": 1}), CFG)
     # trivial extension gives half the quantum MI exactly
@@ -192,3 +199,13 @@ def test_chain_report_cc_all_near_zero():
     assert rep.verdict == "consistent"
     for key in ("2ecsq", "2esq", "2cemi", "eic"):
         assert rep.entries[key].value <= 2e-3
+
+
+def test_chain_report_lets_bugs_raise(monkeypatch):
+    # a programming error is not a solver failure: it must not become a note
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(bqmi.entms, "esq_upper", broken)
+    with pytest.raises(TypeError, match="bug"):
+        chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1,), name="cc")

@@ -4,14 +4,16 @@ import pytest
 from bqmi.measures import (
     JointDistribution,
     Povm,
+    PovmParam,
+    _classical_mi_and_grads,
     classical_mi_fixed,
     classical_mi_max,
     default_ic_povm,
     measure_statistics,
 )
-from bqmi.optim import OptimizerConfig
+from bqmi.optim import OptimizerConfig, finite_diff_check
 from bqmi.qcore import DensityOperator, ValidationError, bipartite_layout
-from bqmi.states import bell_state, cc_state, product_mix_state
+from bqmi.states import bell_state, cc_state, random_density
 
 CFG = OptimizerConfig(restarts=3, max_iters=150)
 
@@ -96,9 +98,37 @@ def test_classical_mi_max_product_state_is_zero():
     assert bv.value < 1e-8
 
 
+def _classical_mi_objective(rho, k=4):
+    """I(p_ij) over the POVM parameters, with the analytic gradient that
+    classical_mi_max descends on."""
+    pa, pb = PovmParam(2, k), PovmParam(2, k)
+    dims = rho.layout.dims
+
+    def fun(x):
+        ea, ca = pa.effects(x[:pa.n_params])
+        eb, cb = pb.effects(x[pa.n_params:])
+        val, ga, gb = _classical_mi_and_grads(rho.mat, dims, (0,), (1,), ea, eb)
+        return val, np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)])
+
+    return fun, pa.n_params + pb.n_params
+
+
 def test_classical_mi_max_uses_analytic_gradient():
-    bv = classical_mi_max(bell_state(), 4, CFG)
-    assert bv.diagnostics["gradient_check"] < 1e-3
-    assert bv.diagnostics["finite_difference_fallback"] is False
+    rng = np.random.default_rng(0)
+    for rho in (bell_state(), random_density(4, 4, seed=5)):
+        fun, n = _classical_mi_objective(rho)
+        for _ in range(3):
+            assert finite_diff_check(fun, rng.standard_normal(n), max_coords=64) < 1e-6
+    # On a product state I(p_ij) vanishes for every POVM, so the gradient is
+    # ~0 and a relative error is meaningless: compare absolute errors.
+    prod = DensityOperator(bipartite_layout(2, 2),
+                           np.kron(np.diag([0.3, 0.7]), np.eye(2) / 2).astype(complex))
+    fun, n = _classical_mi_objective(prod)
+    x = rng.standard_normal(n)
+    _, g = fun(x)
+    h = 1e-5
+    fd = np.array([(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(n)])
+    assert np.abs(fd - g).max() < 1e-8
     # reported POVMs are valid (Povm construction re-validates)
+    bv = classical_mi_max(bell_state(), 4, CFG)
     assert len(bv.diagnostics["povm_a"]) == 4

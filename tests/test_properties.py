@@ -1,0 +1,90 @@
+"""Property-based tests (hypothesis) of the qcore tensor helpers and of the
+shared constrained-state solver, on small random layouts and states."""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bqmi.optim import OptimizerConfig, entropy_combo, solve_marginal_problem
+from bqmi.qcore import expand_mat, partial_trace_mat, permute_factors
+from bqmi.states import random_density
+
+FAST = settings(max_examples=10, deadline=None)
+CFG = OptimizerConfig(restarts=1, max_iters=20)
+
+
+def random_mat(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@st.composite
+def layouts(draw):
+    """(dims, keep_idx, seed) with 3-5 factors of dim 1-3."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=5)))
+    order = draw(st.permutations(range(len(dims))))
+    keep = order[:draw(st.integers(1, len(dims)))]
+    return dims, tuple(sorted(keep)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@FAST
+@given(layouts())
+def test_partial_trace_and_expand_are_adjoint(layout):
+    dims, keep, seed = layout
+    rng = np.random.default_rng(seed)
+    dk = int(np.prod([dims[i] for i in keep]))
+    x = random_mat(dk, rng)
+    y = random_mat(int(np.prod(dims)), rng)
+    # <X, Tr_rest Y> = <X (x) I, Y> in the Hilbert-Schmidt inner product
+    lhs = np.vdot(x, partial_trace_mat(y, dims, keep))
+    rhs = np.vdot(expand_mat(x, dims, keep), y)
+    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+
+@FAST
+@given(layouts(), st.randoms(use_true_random=False))
+def test_permute_factors_roundtrips(layout, shuffler):
+    dims, _, seed = layout
+    perm = list(range(len(dims)))
+    shuffler.shuffle(perm)
+    m = random_mat(int(np.prod(dims)), np.random.default_rng(seed))
+    moved = permute_factors(m, dims, perm)
+    back = permute_factors(moved, tuple(dims[i] for i in perm), np.argsort(perm))
+    assert np.array_equal(back, m)
+
+
+def check_solution(blocks, terms):
+    sol = solve_marginal_problem(blocks, terms, CFG, ())
+    x = sol.joint
+    assert np.abs(x - x.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh(x)[0] >= -1e-9
+    assert abs(x.trace() - 1.0) < 1e-9
+    dims = tuple(d for bdims, _ in blocks for d in bdims)
+    start = 0
+    for bdims, target in blocks:
+        idx = tuple(range(start, start + len(bdims)))
+        start += len(bdims)
+        if target is not None:
+            assert np.linalg.norm(partial_trace_mat(x, dims, idx) - target) <= CFG.tol_residual
+    parts = [np.eye(int(np.prod(b))) / np.prod(b) if t is None else t for b, t in blocks]
+    product, _ = entropy_combo(functools.reduce(np.kron, parts), dims, terms)
+    assert sol.value <= product + 1e-9
+
+
+@FAST
+@given(st.sampled_from([1, 2, 4]), st.integers(0, 10 ** 6))
+def test_broadcast_solve_is_feasible_and_beats_product(rank, seed):
+    rho = random_density(4, rank, seed=seed)
+    # I(A1A2 : B1B2) over two copies with both copy marginals fixed to rho
+    terms = [(1.0, (0, 2)), (1.0, (1, 3)), (-1.0, None)]
+    check_solution([((2, 2), rho.mat)] * 2, terms)
+
+
+@FAST
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2, 4]), st.integers(0, 10 ** 6))
+def test_extension_solve_is_feasible_and_beats_product(dim_e, rank, seed):
+    rho = random_density(4, rank, seed=seed)
+    # half of I(A:BE) - I(A:E) over extensions of rho by a free E block
+    terms = [(0.5, (1, 2)), (-0.5, None), (-0.5, (2,)), (0.5, (0, 2))]
+    check_solution([((2, 2), rho.mat), ((dim_e,), None)], terms)

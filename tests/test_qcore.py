@@ -9,7 +9,6 @@ from bqmi.qcore import (
     binary_entropy,
     bipartite_layout,
     expand_mat,
-    hermitian_eig,
     kl_divergence,
     logm2_psd,
     mutual_information,
@@ -150,16 +149,6 @@ def test_trace_distance_orthogonal_pures():
     a = np.diag([1.0, 0, 0, 0]).astype(complex)
     b = np.diag([0, 1.0, 0, 0]).astype(complex)
     assert abs(trace_distance(a, b) - 2.0) < 1e-12
-
-
-def test_hermitian_eig_descending_and_reconstructs():
-    h = random_herm(5, 20)
-    spec = hermitian_eig(h)
-    assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-    rec = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    assert np.allclose(rec, h, atol=1e-10)
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_logm2_psd_matches_scipy():

@@ -5,9 +5,7 @@ from bqmi.qcore import (
     ValidationError,
     mutual_information,
     partial_trace,
-    partial_trace_mat,
     trace_distance,
-    von_neumann_entropy,
 )
 from bqmi.states import (
     Ensemble,
