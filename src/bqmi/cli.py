@@ -39,6 +39,20 @@ EXIT_SOLVER = 3
 EXIT_CAP = 4
 
 
+def _drop_stdout():
+    """Point stdout at os.devnull once its reader has closed it (as `| head`
+    does), so that later output and the flush at interpreter shutdown do not
+    raise BrokenPipeError; the command still runs to its own exit status."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(text):
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _manifest(args, cfg):
     return {
         "command": " ".join(sys.argv[1:]),
@@ -57,7 +71,7 @@ def _write_report(doc, out_path, wall_time):
         with open(out_path + ".manifest.json", "w") as f:
             json.dump({**doc.get("manifest", {}), "wall_time": wall_time}, f, indent=2)
     else:
-        print(text)
+        _emit(text)
         print(f"wall_time: {wall_time:.3f}s", file=sys.stderr)
 
 
@@ -88,7 +102,7 @@ def cmd_state(args):
         params["rank"] = args.rank if args.rank else args.dim
     rho = make_state(StateSpec(args.family, params, seed=args.seed))
     save_state(args.out, rho)
-    print(f"wrote {args.out} ({rho.dim}x{rho.dim}, "
+    _emit(f"wrote {args.out} ({rho.dim}x{rho.dim}, "
           f"factors {'x'.join(str(d) for d in rho.layout.dims)})")
     return EXIT_OK
 
@@ -118,7 +132,7 @@ def cmd_measure(args):
                                default_ic_povm(rho.dim // da), cfg)
         doc = {"measure": args.measure, "state": getattr(args, "in"),
                "result": result.to_dict(), "manifest": _manifest(args, cfg)}
-    except (RuntimeError, FloatingPointError) as e:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:
         status = EXIT_SOLVER
         doc = {"measure": args.measure, "state": getattr(args, "in"),
                "error": str(e), "manifest": _manifest(args, cfg)}
@@ -135,7 +149,7 @@ def cmd_curve(args):
     gc.to_csv(args.out)
     with open(args.out + ".manifest.json", "w") as f:
         json.dump({**_manifest(args, cfg), "wall_time": wall}, f, indent=2)
-    print(f"classification: {gc.classification} "
+    _emit(f"classification: {gc.classification} "
           f"(certificate {gc.certificate:.6g} bits/copy)")
     return EXIT_OK
 
@@ -204,8 +218,8 @@ def cmd_verify(args):
     for name in names:
         for check, ok, detail in suites[name](cfg):
             all_ok = all_ok and ok
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {check} ({detail})")
-    print("verify:", "all checks passed" if all_ok else "FAILURES above")
+            _emit(f"[{'PASS' if ok else 'FAIL'}] {name}: {check} ({detail})")
+    _emit("verify: " + ("all checks passed" if all_ok else "FAILURES above"))
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -269,20 +283,32 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def _run(args):
     try:
         return args.fn(args)
     except DimensionCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
+    except np.linalg.LinAlgError as e:  # a ValueError, but a solver failure
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValidationError, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def main(argv=None):
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    status = _run(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return status
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ from .qcore import (
     DensityOperator,
     SubsystemLayout,
     ValidationError,
+    eigh_log2,
     expand_mat,
-    logm2_psd,
     mutual_information,
     partial_trace_mat,
     shannon_entropy,
@@ -47,8 +47,9 @@ from .qcore import (
 from .states import Ensemble
 
 # Solver failures that chain_report records as a note; anything else is a
-# bug and propagates.
-SOLVER_FAILURES = (RuntimeError, FloatingPointError, DimensionCapError)
+# bug and propagates.  LinAlgError is an eigensolver that did not converge.
+SOLVER_FAILURES = (RuntimeError, FloatingPointError, DimensionCapError,
+                   np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -88,24 +89,23 @@ class ChainReport:
 
 def _ensemble_objective_terms(r_k, dims, a_idx, b_idx):
     """sum_k p_k I(rho_k) written through unnormalized members R_k = p_k rho_k,
-    plus the matrix gradients dF = Tr[grad_k dR_k]."""
-    val = 0.0
-    grads = []
-    d = r_k[0].shape[0]
-    for r in r_k:
-        p = r.trace().real
-        if p < 1e-14:
-            grads.append(np.zeros((d, d), dtype=complex))
-            continue
-        ra = partial_trace_mat(r, dims, a_idx)
-        rb = partial_trace_mat(r, dims, b_idx)
-        sa, sb, sab = (shannon_entropy(np.linalg.eigvalsh(m)) for m in (ra, rb, r))
-        val += sa + sb - sab + p * np.log2(p)
-        grad = (logm2_psd(r)
-                - expand_mat(logm2_psd(ra), dims, a_idx)
-                - expand_mat(logm2_psd(rb), dims, b_idx)
-                + np.log2(p) * np.eye(d))
-        grads.append(grad)
+    given as a (K, d, d) stack, plus the stack of matrix gradients
+    dF = sum_k Tr[grad_k dR_k].  Members of weight below 1e-14 add nothing
+    and get a zero gradient."""
+    d = r_k.shape[-1]
+    p = np.einsum("kii->k", r_k).real
+    live = p >= 1e-14
+    r, p = r_k[live], p[live]
+    lam_r, log_r = eigh_log2(r)
+    lam_a, log_a = eigh_log2(partial_trace_mat(r, dims, a_idx))
+    lam_b, log_b = eigh_log2(partial_trace_mat(r, dims, b_idx))
+    val = (shannon_entropy(lam_a) + shannon_entropy(lam_b) - shannon_entropy(lam_r)
+           + float((p * np.log2(p)).sum()))
+    grads = np.zeros_like(r_k)
+    grads[live] = (log_r
+                   - expand_mat(log_a, dims, a_idx)
+                   - expand_mat(log_b, dims, b_idx)
+                   + np.log2(p)[:, None, None] * np.eye(d))
     return val, grads
 
 
@@ -127,7 +127,6 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     k = int(n_members) if n_members else r * r
     if k < r:
         raise ValidationError(f"ensemble size {k} below rank {r}")
-    d = rho.dim
     dims = rho.layout.dims
     a_idx = rho.layout.indices(rho.layout.side_labels("A"))
     b_idx = rho.layout.indices(rho.layout.side_labels("B"))
@@ -141,25 +140,21 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     def pack(g):
         return np.concatenate([g.real.ravel(), g.imag.ravel()])
 
+    def members(g):
+        return np.einsum("kij,kil->kjl", g.conj(), g)  # M_k = G_k† G_k
+
     def objective(x):
         g = unpack(x)
-        ms = np.einsum("kij,kil->kjl", g.conj(), g)
-        r_k = [w @ m @ w.conj().T for m in ms]
+        r_k = w @ members(g) @ w.conj().T
         val, grads_r = _ensemble_objective_terms(r_k, dims, a_idx, b_idx)
-        grad_g = np.empty_like(g)
-        for i in range(k):
-            gm = w.conj().T @ grads_r[i] @ w
-            grad_g[i] = 2.0 * g[i] @ ((gm + gm.conj().T) / 2)
+        gm = w.conj().T @ grads_r @ w
+        grad_g = 2.0 * g @ ((gm + gm.conj().swapaxes(1, 2)) / 2)
         return 0.5 * val, 0.5 * pack(grad_g)
 
     def completeness(x):
         g = unpack(x)
-        ms = np.einsum("kij,kil->kjl", g.conj(), g)
-        dev = ms.sum(0) - np.eye(r)
-        grad_g = np.empty_like(g)
-        for i in range(k):
-            grad_g[i] = 2.0 * g[i] @ (2.0 * dev)
-        return float(np.linalg.norm(dev) ** 2), pack(grad_g)
+        dev = members(g).sum(0) - np.eye(r)
+        return float(np.linalg.norm(dev) ** 2), pack(4.0 * g @ dev)
 
     def init_from_povm_mats(mats):
         g = np.zeros((k, r, r), dtype=complex)
@@ -179,8 +174,7 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     opt = minimize_penalized(objective, [("completeness", completeness)],
                              n_par, cfg, inits=inits)
     # Exactify completeness, then evaluate the ensemble value exactly.
-    g = unpack(opt.argmin)
-    ms = np.einsum("kij,kil->kjl", g.conj(), g)
+    ms = members(unpack(opt.argmin))
     s = ms.sum(0) + 1e-15 * np.eye(r)
     ls, us = np.linalg.eigh(s)
     inv_sqrt = (us * np.clip(ls, 1e-15, None) ** -0.5) @ us.conj().T

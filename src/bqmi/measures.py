@@ -186,12 +186,9 @@ class PovmParam:
         denom = beta[:, None] + beta[None, :]
         z = u @ (yt / denom) @ u.conj().T
         # Coefficient of dK_i: C_i = A F_i A + Z.
-        grads = np.empty_like(g)
-        for i in range(self.k):
-            c = a @ f_effs[i] @ a + z
-            c = (c + c.conj().T) / 2
-            grads[i] = 2.0 * g[i] @ c
-        return self.pack(grads)
+        c = a @ f_effs @ a + z
+        c = (c + c.conj().swapaxes(1, 2)) / 2
+        return self.pack(2.0 * g @ c)
 
     def init_from_povm(self, povm: Povm):
         gs = []

@@ -15,8 +15,8 @@ import numpy as np
 from .qcore import (
     LOG2E,
     ValidationError,
+    eigh_log2,
     expand_mat,
-    logm2_psd,
     partial_trace_mat,
     partial_transpose_mat,
     shannon_entropy,
@@ -154,8 +154,9 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     fn(x) -> (value, grad), added as w * value with w ramped over
     cfg.penalty_schedule.  inits seeds the first restarts; the rest start
     from standard-normal points drawn with master_seed + restart_index.
-    Returns the best OptimResult (lowest final penalized value, ties broken
-    by restart index).
+    A restart whose objective turns NaN or whose eigensolver fails
+    (numpy.linalg.LinAlgError) is dropped.  Returns the best OptimResult
+    (lowest final penalized value, ties broken by restart index).
     """
     inits = list(inits) if inits is not None else []
     results = []
@@ -183,15 +184,18 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
                     fun, x, cfg.max_iters, cfg.step_init, cfg.tol_objective)
                 total_iters += it
                 converged = converged and conv
-        except FloatingPointError:
+            f_obj, _ = objective(x)
+            res = {name: c(x)[0] for name, c in constraints}
+        except (FloatingPointError, np.linalg.LinAlgError):
+            # A NaN objective or an eigensolver that did not converge drops
+            # this restart; the others still count.
             continue
-        f_obj, _ = objective(x)
-        res = {name: c(x)[0] for name, c in constraints}
         results.append((f_pen, r, OptimResult(
             value=float(f_obj), argmin=x, residuals=res,
             converged=converged, iterations_used=total_iters, restart_index=r)))
     if not results:
-        raise FloatingPointError("all restarts aborted (NaN objective)")
+        raise FloatingPointError(
+            "all restarts aborted (NaN objective or eigensolver failure)")
     results.sort(key=lambda t: (t[0], t[1]))
     return results[0][2]
 
@@ -374,16 +378,19 @@ def entropy_combo(sigma, dims, terms):
     """Weighted sum of marginal entropies and its matrix gradient.
 
     terms: list of (coef, keep_idx) with keep_idx None meaning the full
-    state.  Returns (value_bits, F) with d f = Tr[F d sigma].
+    state.  Returns (value_bits, F) with d f = Tr[F d sigma]; each term
+    takes its value and its gradient from one eigendecomposition.
     """
     d = sigma.shape[0]
     f = 0.0
-    fmat = np.zeros((d, d), dtype=complex)
+    # d S(red) = -Tr[(log2 red + log2(e) I) d red], and the identity parts
+    # of all terms expand to one multiple of the identity.
+    fmat = -LOG2E * sum(coef for coef, _ in terms) * np.eye(d, dtype=complex)
     for coef, keep in terms:
         red = sigma if keep is None else partial_trace_mat(sigma, dims, keep)
-        f += coef * shannon_entropy(np.linalg.eigvalsh(red))
-        gred = -(logm2_psd(red) + LOG2E * np.eye(red.shape[0]))
-        fmat += coef * (gred if keep is None else expand_mat(gred, dims, keep))
+        lam, log = eigh_log2(red)
+        f += coef * shannon_entropy(lam)
+        fmat -= coef * (log if keep is None else expand_mat(log, dims, keep))
     return f, fmat
 
 
@@ -464,21 +471,29 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
         cands.append(sym(c))
 
     par = DensityParam(d)
+    # minimize_penalized evaluates the objective and then every penalty at
+    # the same x array, so one sigma(x) and one twirl serve them all.  The
+    # cache holds that array (nothing mutates it in place) and its results.
+    last = [None, None]
+
+    def evaluate(x):
+        if last[0] is not x:
+            last[:] = [None, None]  # free the previous point's gradients first
+            s, cache = par.sigma(x)
+            ss = sym(s)
+            f, fmat = entropy_combo(ss, dims, terms)
+            out = [(f, par.grad_x(sym(fmat), s, cache))]
+            for idx, t in fixed:
+                cv, cg = marginal_penalty(ss, dims, idx, t)
+                out.append((cv, par.grad_x(sym(cg), s, cache)))
+            last[:] = [x, out]
+        return last[1]
 
     def objective(x):
-        s, cache = par.sigma(x)
-        f, fmat = entropy_combo(sym(s), dims, terms)
-        return f, par.grad_x(sym(fmat), s, cache)
+        return evaluate(x)[0]
 
-    def penalty(idx, target):
-        def con(x):
-            s, cache = par.sigma(x)
-            cv, cg = marginal_penalty(sym(s), dims, idx, target)
-            return cv, par.grad_x(sym(cg), s, cache)
-        return con
-
-    constraints = [(f"marginal_{k + 1}", penalty(idx, t))
-                   for k, (idx, t) in enumerate(fixed)]
+    constraints = [(f"marginal_{k + 1}", lambda x, k=k: evaluate(x)[k + 1])
+                   for k in range(len(fixed))]
     opt = minimize_penalized(objective, constraints, par.n_params, cfg,
                              inits=[par.init_from_matrix(c) for c in cands])
     pool = [sym(par.sigma(opt.argmin)[0])] + cands

@@ -4,6 +4,10 @@ Everything works on plain numpy arrays plus a :class:`SubsystemLayout` that
 records how a big matrix factors into labeled subsystems and which side of
 the bipartite cut each factor belongs to.  All entropic quantities are in
 bits (log base 2).
+
+partial_trace_mat, expand_mat and eigh_log2 also accept stacks of matrices
+with leading batch axes (..., d, d); shannon_entropy flattens its input, so a
+stack of spectra gives the sum of their entropies.
 """
 
 from __future__ import annotations
@@ -127,16 +131,20 @@ def partial_trace_mat(mat, dims, keep_idx):
 
     dims: per-factor dimensions; keep_idx: sorted positions to keep.
     Returns the reduced matrix on the kept factors in original order.
+    Accepts a stack (..., d, d) and traces each matrix in it.
     """
+    mat = np.asarray(mat)
+    batch = mat.shape[:-2]
+    nb = len(batch)
     m = len(dims)
     keep = list(keep_idx)
     drop = [i for i in range(m) if i not in keep]
-    t = _as_tensor(mat, dims)
-    perm = keep + drop + [m + i for i in keep] + [m + i for i in drop]
+    t = mat.reshape(batch + tuple(dims) * 2)
+    perm = list(range(nb)) + [nb + i for i in keep + drop] + [nb + m + i for i in keep + drop]
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     dd = int(np.prod([dims[i] for i in drop])) if drop else 1
-    t = t.transpose(perm).reshape(dk, dd, dk, dd)
-    return np.einsum("ijkj->ik", t)
+    t = t.transpose(perm).reshape(batch + (dk, dd, dk, dd))
+    return np.einsum("...ijkj->...ik", t)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -153,20 +161,25 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def expand_mat(mat, dims, keep_idx):
     """Adjoint of the partial trace: place mat on keep_idx, identity elsewhere.
 
-    Returns a full matrix on all factors in original order.
+    Returns a full matrix on all factors in original order.  Accepts a
+    stack (..., dk, dk) and expands each matrix in it.
     """
+    mat = np.asarray(mat)
+    batch = mat.shape[:-2]
+    nb = len(batch)
     m = len(dims)
     keep = list(keep_idx)
     drop = [i for i in range(m) if i not in keep]
     dd = int(np.prod([dims[i] for i in drop])) if drop else 1
-    big = np.kron(np.asarray(mat), np.eye(dd))
+    # mat (x) I_dd as a (..., dk, dd, dk, dd) block, built by broadcasting.
+    big = mat[..., :, None, :, None] * np.eye(dd)[:, None, :]
     order = keep + drop
     # big is laid out as keep-factors then drop-factors; permute back.
     inv = np.argsort(order)
-    t = big.reshape(tuple(dims[i] for i in order) * 2)
-    perm = list(inv) + [m + i for i in inv]
+    t = big.reshape(batch + tuple(dims[i] for i in order) * 2)
+    perm = list(range(nb)) + [nb + i for i in inv] + [nb + m + i for i in inv]
     d = int(np.prod(dims))
-    return t.transpose(perm).reshape(d, d)
+    return t.transpose(perm).reshape(batch + (d, d))
 
 
 def permute_factors(mat, dims, perm):
@@ -202,6 +215,8 @@ def shannon_entropy(p) -> float:
 
     The one entropy kernel: von Neumann entropies are Shannon entropies of
     spectra.  Entries at or below ENTROPY_CLAMP count as 0 (0 log 0 = 0).
+    Input of any shape is flattened, so a stack of spectra gives the sum of
+    their entropies.
     """
     p = np.asarray(p, dtype=float).ravel()
     p = p[p > ENTROPY_CLAMP]
@@ -266,8 +281,13 @@ def binary_entropy(x) -> float:
     return shannon_entropy([x, 1 - x])
 
 
-def logm2_psd(mat, clamp=1e-14):
-    """log2 of a PSD matrix with eigenvalues clamped below for stability."""
+def eigh_log2(mat, clamp=1e-14):
+    """Eigenvalues and log2 of a PSD matrix, from one eigendecomposition.
+
+    Eigenvalues are clamped below at clamp inside the logarithm only; the
+    returned eigenvalues are as computed.  Accepts a stack (..., d, d) and
+    returns (..., d) eigenvalues and (..., d, d) logarithms.
+    """
     lam, v = np.linalg.eigh(mat)
-    lam = np.clip(lam, clamp, None)
-    return (v * np.log2(lam)) @ v.conj().T
+    log = (v * np.log2(np.clip(lam, clamp, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return lam, log

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bqmi
+import bqmi.cli
 from bqmi.cli import main
 from bqmi.states import load_state
 
@@ -118,3 +123,41 @@ def test_chain_cc_consistent(tmp_path, capsys):
     assert doc["verdict"] == "consistent"
     assert set(doc["entries"]) >= {"2ecsq", "2esq", "2cemi", "eic",
                                    "ib_per_copy_n1", "ib_per_copy_n2"}
+
+
+def raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_measure_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    bell = tmp_path / "bell.json"
+    run(["state", "--family", "bell", "--out", str(bell)])
+    capsys.readouterr()
+    monkeypatch.setattr(bqmi.cli, "esq_upper", raise_linalg_error)
+    assert run(["measure", "--in", str(bell), "--measure", "esq"]) == 3
+    assert "did not converge" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_curve_eigensolver_failure_exits_3(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError; it must not read as an input error (2)
+    bell = tmp_path / "bell.json"
+    run(["state", "--family", "bell", "--out", str(bell)])
+    monkeypatch.setattr(bqmi.cli, "growth_curve", raise_linalg_error)
+    assert run(["curve", "--in", str(bell), "--out", str(tmp_path / "c.csv")]) == 3
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_cleanly(tmp_path, unbuffered):
+    bell = tmp_path / "bell.json"
+    run(["state", "--family", "bell", "--out", str(bell)])
+    src = os.path.dirname(os.path.dirname(bqmi.__file__))
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bqmi.cli", "measure", "--in", str(bell), "--measure", "mi"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before any output arrives
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert b"BrokenPipeError" not in err

@@ -7,6 +7,7 @@ import bqmi.entms
 from bqmi.entms import (
     ChainReport,
     ExtensionSpec,
+    _ensemble_objective_terms,
     cemi_upper,
     chain_report,
     classical_flag_extension,
@@ -209,3 +210,40 @@ def test_chain_report_lets_bugs_raise(monkeypatch):
     monkeypatch.setattr(bqmi.entms, "esq_upper", broken)
     with pytest.raises(TypeError, match="bug"):
         chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1,), name="cc")
+
+
+@pytest.mark.parametrize("rho", [bell_state(), random_density(4, 4, seed=5)],
+                         ids=["bell", "random_4x4_seed5"])
+def test_ensemble_objective_gradient_matches_central_differences(rho):
+    # Members R_k = w M_k w† as ecsq_upper builds them, with rho = w w†; the
+    # last member has zero weight.
+    lam, v = np.linalg.eigh(rho.mat)
+    keep = lam > 1e-12
+    w = v[:, keep] * np.sqrt(lam[keep])
+    r = w.shape[1]
+    rng = np.random.default_rng(0)
+
+    def stack(k):
+        g = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+        return g.conj().swapaxes(1, 2) @ g
+
+    ms = np.concatenate([stack(5), np.zeros((1, r, r))])
+    r_k = w @ ms @ w.conj().T
+    dims, a_idx, b_idx = rho.layout.dims, (0,), (1,)
+    val, grads = _ensemble_objective_terms(r_k, dims, a_idx, b_idx)
+    assert grads.shape == r_k.shape
+    assert not grads[-1].any()
+    # the value is the weighted member MI, sum_k p_k I(rho_k)
+    want = 0.0
+    for rk in r_k[:-1]:
+        p = rk.trace().real
+        want += p * mutual_information(DensityOperator(rho.layout, (rk + rk.conj().T) / 2 / p))
+    assert abs(val - want) < 1e-9
+    h = 1e-6
+    for _ in range(4):
+        delta = w @ (stack(6) - stack(6)) @ w.conj().T
+        delta[-1] = 0.0  # the zero-weight member stays at weight 0
+        fd = (_ensemble_objective_terms(r_k + h * delta, dims, a_idx, b_idx)[0]
+              - _ensemble_objective_terms(r_k - h * delta, dims, a_idx, b_idx)[0]) / (2 * h)
+        analytic = np.einsum("kij,kji->", grads, delta).real
+        assert abs(fd - analytic) < 1e-6 * max(1.0, abs(analytic))

@@ -73,6 +73,26 @@ def test_minimize_penalized_deterministic():
     assert a.restart_index == b.restart_index
 
 
+def test_minimize_penalized_drops_restart_whose_eigensolver_fails():
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        if len(calls) == 1:  # the first evaluation of restart 0
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float((x ** 2).sum()), 2 * x
+
+    res = minimize_penalized(objective, [], 4, OptimizerConfig(restarts=2, max_iters=50))
+    assert res.restart_index == 1
+    assert res.value < 1e-6
+
+    def broken(x):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with pytest.raises(FloatingPointError, match="all restarts aborted"):
+        minimize_penalized(broken, [], 4, OptimizerConfig(restarts=2, max_iters=50))
+
+
 def test_finite_diff_check_flags_wrong_gradient():
     def good(x):
         return float((x ** 2).sum()), 2 * x

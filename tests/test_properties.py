@@ -28,9 +28,13 @@ def layouts(draw):
     return dims, tuple(sorted(keep)), draw(st.integers(0, 2 ** 32 - 1))
 
 
+def random_stack(batch, d, rng):
+    return rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+
+
 @FAST
-@given(layouts())
-def test_partial_trace_and_expand_are_adjoint(layout):
+@given(layouts(), st.sampled_from([(1,), (3,), (2, 2)]))
+def test_partial_trace_and_expand_are_adjoint(layout, batch):
     dims, keep, seed = layout
     rng = np.random.default_rng(seed)
     dk = int(np.prod([dims[i] for i in keep]))
@@ -40,6 +44,15 @@ def test_partial_trace_and_expand_are_adjoint(layout):
     lhs = np.vdot(x, partial_trace_mat(y, dims, keep))
     rhs = np.vdot(expand_mat(x, dims, keep), y)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+    # on a stack, slice k of the batched call is the call on slice k
+    xs = random_stack(batch, dk, rng)
+    ys = random_stack(batch, int(np.prod(dims)), rng)
+    traced = partial_trace_mat(ys, dims, keep)
+    expanded = expand_mat(xs, dims, keep)
+    assert traced.shape == xs.shape and expanded.shape == ys.shape
+    for k in np.ndindex(batch):
+        assert np.allclose(traced[k], partial_trace_mat(ys[k], dims, keep), atol=1e-12)
+        assert np.array_equal(expanded[k], expand_mat(xs[k], dims, keep))
 
 
 @FAST

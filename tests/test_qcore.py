@@ -8,9 +8,9 @@ from bqmi.qcore import (
     ValidationError,
     binary_entropy,
     bipartite_layout,
+    eigh_log2,
     expand_mat,
     kl_divergence,
-    logm2_psd,
     mutual_information,
     partial_trace,
     partial_trace_mat,
@@ -151,11 +151,19 @@ def test_trace_distance_orthogonal_pures():
     assert abs(trace_distance(a, b) - 2.0) < 1e-12
 
 
-def test_logm2_psd_matches_scipy():
-    m = random_state_mat(4, 30) + 0.1 * np.eye(4)
-    m /= m.trace().real
-    oracle = scipy.linalg.logm(m) / np.log(2)
-    assert np.allclose(logm2_psd(m), oracle, atol=1e-9)
+def test_eigh_log2_matches_scipy():
+    mats = []
+    for seed in (30, 31):
+        m = random_state_mat(4, seed) + 0.1 * np.eye(4)
+        mats.append(m / m.trace().real)
+    lam, log = eigh_log2(mats[0])
+    assert np.allclose(log, scipy.linalg.logm(mats[0]) / np.log(2), atol=1e-9)
+    assert np.allclose(lam, np.linalg.eigvalsh(mats[0]), atol=1e-12)
+    # a stack is decomposed slice by slice
+    lams, logs = eigh_log2(np.array(mats))
+    for k, m in enumerate(mats):
+        assert np.allclose(logs[k], scipy.linalg.logm(m) / np.log(2), atol=1e-9)
+        assert np.allclose(lams[k], np.linalg.eigvalsh(m), atol=1e-12)
 
 
 def test_partial_trace_requires_known_labels():
