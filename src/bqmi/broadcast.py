@@ -85,9 +85,6 @@ def _solve_broadcast(rho, n, cfg, warm_starts, symmetric):
         value, joint, residuals = mutual_information(rho), rho.mat, [0.0]
         diag = {"note": "n=1: feasible set is the singleton {rho}"}
     else:
-        dims = layout.dims
-        base_nf = len(rho.layout.factors)
-
         def candidates():
             # A generator, so that no n-copy matrix is built before the
             # solver has checked the dimension cap.
@@ -99,7 +96,8 @@ def _solve_broadcast(rho, n, cfg, warm_starts, symmetric):
                  (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
         sol = solve_marginal_problem(
             [(rho.layout.dims, rho.mat)] * n, terms, cfg, candidates(),
-            symmetrize=(lambda m: twirl_copies(m, dims, base_nf, n)) if symmetric else None)
+            # The solver passes one factor per copy block.
+            symmetrize=(lambda m, bdims: twirl_copies(m, bdims, 1, n)) if symmetric else None)
         value, joint, residuals, diag = sol.value, sol.joint, sol.residuals, sol.diagnostics
         diag["feasible_joints"] = [DensityOperator(layout, m) for m in sol.feasible]
     bv = BoundedValue(

@@ -342,12 +342,12 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
         warnings.warn("POVMs are not informationally complete; the bound's "
                       "'zero iff PPT-reachable' reading does not apply")
     p = measure_statistics(rho, m, n).p
+    # sigma lives in rho's A-first coordinates (a_first_mat), where the
+    # effects are M_i (x) N_j and the partial transpose acts on factor 1.
     ops = np.array([tensor(mi, nj) for mi in m.effects for nj in n.effects])
     pf = p.ravel()
     d = rho.dim
-    dims = rho.layout.dims
-    b_axes = rho.layout.indices(rho.layout.side_labels("B"))
-    sets = [PsdSet(), PptSet(dims, b_axes), TraceOneSet()]
+    sets = [PsdSet(), PptSet((m.dim, n.dim), (1,)), TraceOneSet()]
 
     def f_and_grad(sig):
         q = np.einsum("kij,ji->k", ops, sig).real

@@ -11,6 +11,7 @@ from .optim import BoundedValue, OptimizerConfig, minimize_penalized
 from .qcore import (
     DensityOperator,
     ValidationError,
+    a_first_mat,
     mutual_information,
     partial_trace_mat,
     shannon_entropy,
@@ -76,16 +77,16 @@ class JointDistribution:
 
 
 def measure_statistics(rho: DensityOperator, m: Povm, n: Povm) -> JointDistribution:
-    """Outcome distribution p_ij = Tr[(M_i x N_j) rho] for local POVMs."""
-    da = int(np.prod([d for lab, d in rho.layout.factors if rho.layout.sides[lab] == "A"]))
-    db = rho.layout.dim // da
+    """Outcome distribution p_ij = Tr[(M_i x N_j) rho] for local POVMs, M on
+    the A side and N on the B side."""
+    rho_ab, da, db = a_first_mat(rho)
     if m.dim != da or n.dim != db:
         raise ValidationError(
             f"POVM dims ({m.dim},{n.dim}) do not match sides ({da},{db})")
     p = np.empty((len(m), len(n)))
     for i, mi in enumerate(m.effects):
         for j, nj in enumerate(n.effects):
-            p[i, j] = np.vdot(tensor(mi, nj), rho.mat).real
+            p[i, j] = np.vdot(tensor(mi, nj), rho_ab).real
     return JointDistribution(p)
 
 
@@ -203,8 +204,9 @@ class PovmParam:
         return self.pack(g[:self.k])
 
 
-def _classical_mi_and_grads(rho_mat, dims, a_idx, b_idx, effs_a, effs_b):
-    """I(p_ij) plus gradients with respect to each local effect."""
+def _classical_mi_and_grads(rho_ab, effs_a, effs_b):
+    """I(p_ij) plus gradients with respect to each local effect; rho_ab has
+    its A factors first (a_first_mat)."""
     ka, kb = effs_a.shape[0], effs_b.shape[0]
     # rho reduced against each B effect and vice versa.
     da = effs_a.shape[1]
@@ -213,10 +215,10 @@ def _classical_mi_and_grads(rho_mat, dims, a_idx, b_idx, effs_a, effs_b):
     rt_a = np.empty((ka, db, db), dtype=complex)  # Tr_A[(M_i x I) rho]
     for j in range(kb):
         op = np.kron(np.eye(da), effs_b[j])
-        rt_b[j] = partial_trace_mat(op @ rho_mat, dims, a_idx)
+        rt_b[j] = partial_trace_mat(op @ rho_ab, (da, db), (0,))
     for i in range(ka):
         op = np.kron(effs_a[i], np.eye(db))
-        rt_a[i] = partial_trace_mat(op @ rho_mat, dims, b_idx)
+        rt_a[i] = partial_trace_mat(op @ rho_ab, (da, db), (1,))
     p = np.einsum("iab,jba->ij", effs_a, rt_b).real
     p = np.clip(p, 1e-15, None)
     pa = p.sum(1)
@@ -238,11 +240,7 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
     unconstrained parameterization; local search can only underestimate the
     true maximum, hence direction 'lower'.
     """
-    da = int(np.prod([d for lab, d in rho.layout.factors if rho.layout.sides[lab] == "A"]))
-    db = rho.layout.dim // da
-    a_idx = rho.layout.indices(rho.layout.side_labels("A"))
-    b_idx = rho.layout.indices(rho.layout.side_labels("B"))
-    dims = rho.layout.dims
+    rho_ab, da, db = a_first_mat(rho)
     k = outcomes_per_side
     pa = PovmParam(da, k)
     pb = PovmParam(db, k)
@@ -254,7 +252,7 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
         xa, xb = split(x)
         ea, ca = pa.effects(xa)
         eb, cb = pb.effects(xb)
-        val, ga, gb = _classical_mi_and_grads(rho.mat, dims, a_idx, b_idx, ea, eb)
+        val, ga, gb = _classical_mi_and_grads(rho_ab, ea, eb)
         grad = np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)])
         return -val, -grad
 

@@ -300,6 +300,12 @@ class MarginalSet:
     def residual(self, x):
         return float(np.linalg.norm(self._deviation(x)))
 
+    def penalty(self, x):
+        """Squared Frobenius deviation of the marginal and its matrix
+        gradient 2 (dev (x) I)."""
+        dev = self._deviation(x)
+        return float(np.linalg.norm(dev) ** 2), 2.0 * expand_mat(dev, self.dims, self.keep_idx)
+
 
 def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
     """Dykstra's alternating projection onto the intersection of convex sets.
@@ -374,32 +380,40 @@ class DensityParam:
         return self.pack(g)
 
 
-def entropy_combo(sigma, dims, terms):
+def entropy_combo(sigma, dims, terms, w=None):
     """Weighted sum of marginal entropies and its matrix gradient.
 
     terms: list of (coef, keep_idx) with keep_idx None meaning the full
     state.  Returns (value_bits, F) with d f = Tr[F d sigma]; each term
     takes its value and its gradient from one eigendecomposition.
+
+    w, when given, is an isometry from sigma's space into the space that
+    dims factor: the state is then W sigma W†.  Its full-state entropy is
+    S(sigma) itself; the marginal terms are taken on W sigma W† and their
+    gradient is pulled back as W† F W.
     """
     d = sigma.shape[0]
     f = 0.0
     # d S(red) = -Tr[(log2 red + log2(e) I) d red], and the identity parts
     # of all terms expand to one multiple of the identity.
     fmat = -LOG2E * sum(coef for coef, _ in terms) * np.eye(d, dtype=complex)
+    # W sigma W† and the marginal terms' gradient there; without W these
+    # are sigma and fmat themselves, so the terms add up in their order.
+    full, cut = sigma, fmat
+    if w is not None:
+        full = w @ sigma @ w.conj().T
+        cut = np.zeros(full.shape, dtype=complex)
     for coef, keep in terms:
-        red = sigma if keep is None else partial_trace_mat(sigma, dims, keep)
-        lam, log = eigh_log2(red)
+        if keep is None:
+            lam, log = eigh_log2(sigma)
+            fmat -= coef * log
+        else:
+            lam, log = eigh_log2(partial_trace_mat(full, dims, keep))
+            cut -= coef * expand_mat(log, dims, keep)
         f += coef * shannon_entropy(lam)
-        fmat -= coef * (log if keep is None else expand_mat(log, dims, keep))
+    if w is not None:
+        fmat += w.conj().T @ cut @ w
     return f, fmat
-
-
-def marginal_penalty(sigma, dims, keep_idx, target):
-    """Squared Frobenius deviation of a marginal and its matrix gradient."""
-    dev = partial_trace_mat(sigma, dims, keep_idx) - target
-    val = float(np.linalg.norm(dev) ** 2)
-    grad = 2.0 * expand_mat(dev, dims, keep_idx)
-    return val, grad
 
 
 @dataclass
@@ -421,25 +435,28 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     (dims, target) pair whose target is the block's fixed marginal, or None
     for a free block.  terms: entropy_combo terms over the concatenated
     factor dims.  candidates: extra starting joints (matrices or objects with
-    a .mat), consumed only after the BQ_MAX_DIM check; the product of the
-    targets, maximally mixed on free blocks, always comes first.
-    symmetrize: an optional linear self-adjoint projection (such as a copy
-    twirl) applied to every candidate, iterate and gradient.
+    a .mat), consumed only after the BQ_MAX_DIM check on the joint dimension;
+    the product of the targets, maximally mixed on free blocks, always comes
+    first.  symmetrize: an optional linear self-adjoint projection (such as a
+    copy twirl), called as symmetrize(mat, block_dims) with one factor per
+    block and applied to every candidate, iterate and gradient.
 
-    Runs the penalized DensityParam descent from the candidates, then
-    projects its optimum and every candidate onto the feasible set and
-    returns the feasible joint with the lowest exact value.  Any PSD joint
-    with these marginals lives in the product of the targets' supports, so
-    the Dykstra projection runs there, where each target is full rank and
-    the product candidate is an interior point.  Raises DimensionCapError
-    above the cap and RuntimeError when no candidate meets cfg.tol_residual.
+    Any PSD joint with these marginals lives in the product of the targets'
+    supports, the range of W = (x) (support basis of each block), so the
+    whole solve runs there: the penalized DensityParam descent from the
+    compressed candidates, then the Dykstra projection of its optimum and of
+    every candidate, where each target is full rank and the product
+    candidate is an interior point.  symmetrize is applied there too, so it
+    must commute with W, as a copy twirl over identical blocks does.  The
+    projected joints are embedded back, and the feasible one with the lowest
+    exact value is returned.  Raises DimensionCapError above the cap and
+    RuntimeError when no candidate meets cfg.tol_residual.
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
     d = int(np.prod(dims))
     if d > dim_cap():
         raise DimensionCapError(
             f"joint dimension {d} exceeds cap {dim_cap()} (set BQ_MAX_DIM to raise)")
-    sym = symmetrize or (lambda m: m)
 
     fixed = []  # (factor indices, target) per fixed block
     parts = []  # factors of the product candidate
@@ -462,15 +479,25 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
             compressed.append((k, target))
         bases.append(basis)
         start += len(bdims)
+    w = None  # None when every block is full rank: then W = I
+    if any(b.shape[0] != b.shape[1] for b in bases):
+        w = functools.reduce(np.kron, bases)
+    bdims = tuple(b.shape[0] for b in bases)
+    cdims = tuple(b.shape[1] for b in bases)
 
-    cands = []
+    def sym(m, block_dims=cdims):
+        return m if symmetrize is None else symmetrize(m, block_dims)
+
+    cands = []  # compressed candidates, each seeding a restart
     for c in itertools.chain([functools.reduce(np.kron, parts)], candidates):
         c = np.asarray(getattr(c, "mat", c), dtype=complex)
         if c.shape != (d, d):
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
-        cands.append(sym(c))
+        c = sym(c, bdims)
+        cands.append(c if w is None else w.conj().T @ c @ w)
 
-    par = DensityParam(d)
+    msets = [MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
+    par = DensityParam(int(np.prod(cdims)))
     # minimize_penalized evaluates the objective and then every penalty at
     # the same x array, so one sigma(x) and one twirl serve them all.  The
     # cache holds that array (nothing mutates it in place) and its results.
@@ -481,10 +508,10 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
             last[:] = [None, None]  # free the previous point's gradients first
             s, cache = par.sigma(x)
             ss = sym(s)
-            f, fmat = entropy_combo(ss, dims, terms)
+            f, fmat = entropy_combo(ss, dims, terms, w)
             out = [(f, par.grad_x(sym(fmat), s, cache))]
-            for idx, t in fixed:
-                cv, cg = marginal_penalty(ss, dims, idx, t)
+            for m in msets:
+                cv, cg = m.penalty(ss)
                 out.append((cv, par.grad_x(sym(cg), s, cache)))
             last[:] = [x, out]
         return last[1]
@@ -492,30 +519,22 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     def objective(x):
         return evaluate(x)[0]
 
-    constraints = [(f"marginal_{k + 1}", lambda x, k=k: evaluate(x)[k + 1])
-                   for k in range(len(fixed))]
+    constraints = [(m.name, lambda x, k=k: evaluate(x)[k + 1]) for k, m in enumerate(msets)]
     opt = minimize_penalized(objective, constraints, par.n_params, cfg,
                              inits=[par.init_from_matrix(c) for c in cands])
     pool = [sym(par.sigma(opt.argmin)[0])] + cands
-
-    w = None
-    if any(b.shape[0] != b.shape[1] for b in bases):
-        w = functools.reduce(np.kron, bases)
-    cdims = [b.shape[1] for b in bases]
-    sets = [PsdSet(), TraceOneSet()] + [
-        MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
+    sets = [PsdSet(), TraceOneSet()] + msets
 
     best = None
     feasible = []
     failures = []
     for cand in pool:
-        x = cand if w is None else w.conj().T @ cand @ w
         try:
-            x = dykstra_project(x, sets, tol=min(1e-10, cfg.tol_residual), max_sweeps=5000)
+            x = dykstra_project(cand, sets, tol=min(1e-10, cfg.tol_residual), max_sweeps=5000)
         except RuntimeError as e:
             failures.append(str(e))
             continue
-        x = sym(x if w is None else w @ x @ w.conj().T)
+        x = sym(x if w is None else w @ x @ w.conj().T, bdims)
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
         if max(res, default=0.0) > cfg.tol_residual:
             continue
@@ -528,6 +547,6 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
                            "constraints: " + "; ".join(failures))
     val, x, res, cand = best
     diag = opt.summary()
-    diag["pre_projection_value"] = float(entropy_combo(cand, dims, terms)[0])
+    diag["pre_projection_value"] = float(entropy_combo(cand, dims, terms, w)[0])
     return MarginalSolution(value=float(val), joint=x, residuals=res,
                             feasible=feasible, diagnostics=diag)

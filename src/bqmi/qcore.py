@@ -191,6 +191,20 @@ def permute_factors(mat, dims, perm):
     return t.transpose(p).reshape(d, d)
 
 
+def a_first_mat(rho: DensityOperator):
+    """rho's matrix with its A-side factors first and its B-side factors
+    after them, each side in layout order, plus the side dims (dA, dB).
+
+    Local operators M (x) N, such as measurement effects, act on this
+    matrix whatever order the layout lists the factors in.
+    """
+    layout = rho.layout
+    a = layout.indices(layout.side_labels("A"))
+    b = layout.indices(layout.side_labels("B"))
+    da = int(np.prod([layout.dims[i] for i in a]))
+    return permute_factors(rho.mat, layout.dims, a + b), da, rho.dim // da
+
+
 def partial_transpose_mat(mat, dims, axes):
     """Transpose the given tensor factors of a square matrix."""
     m = len(dims)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bqmi import optim
 from bqmi.broadcast import (
     apply_local_channels,
     broadcast_mi_symmetric,
@@ -82,6 +83,33 @@ def test_broadcast_symmetric_dominates_unrestricted():
     un = broadcast_mi_upper(rho, 2, CFG, warm_starts=[joint.mat])
     assert un.value <= sym.value + 1e-6
     assert np.abs(twirl_copies(joint.mat, dims, 2, 2) - joint.mat).max() < 1e-8
+
+
+def test_descent_runs_in_the_targets_support(monkeypatch):
+    # a rank-2 rho at n=2 has 2 x 2 feasible dimensions out of 16
+    seen = []
+
+    class Spy(optim.DensityParam):
+        def __init__(self, dim, *args, **kw):
+            seen.append(dim)
+            super().__init__(dim, *args, **kw)
+
+    monkeypatch.setattr(optim, "DensityParam", Spy)
+    cfg = OptimizerConfig(restarts=1, max_iters=5)
+    broadcast_mi_upper(random_density(4, 2, seed=1), 2, cfg)
+    broadcast_mi_upper(random_density(4, 4, seed=1), 2, cfg)
+    assert seen == [4, 16]
+
+
+def test_symmetric_joint_of_rank_deficient_state_is_exactly_invariant():
+    rho = random_density(4, 2, seed=7)
+    bv = broadcast_mi_symmetric(rho, 2, OptimizerConfig(restarts=2, max_iters=30))
+    joint = bv.diagnostics["broadcast_state"].joint
+    assert np.array_equal(permute_factors(joint.mat, joint.layout.dims, (2, 3, 0, 1)), joint.mat)
+    for k in (1, 2):
+        red = copy_marginal_mat(joint.mat, joint.layout, rho.layout, k)
+        assert np.linalg.norm(red - rho.mat) <= 1e-8
+    assert bv.value <= 2 * mutual_information(rho) + 1e-6
 
 
 def test_definetti_upper_never_exceeds_cap():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bqmi.entms import eic_lower
 from bqmi.measures import (
     JointDistribution,
     Povm,
@@ -12,7 +13,13 @@ from bqmi.measures import (
     measure_statistics,
 )
 from bqmi.optim import OptimizerConfig, finite_diff_check
-from bqmi.qcore import DensityOperator, ValidationError, bipartite_layout
+from bqmi.qcore import (
+    DensityOperator,
+    SubsystemLayout,
+    ValidationError,
+    bipartite_layout,
+    permute_factors,
+)
 from bqmi.states import bell_state, cc_state, random_density
 
 CFG = OptimizerConfig(restarts=3, max_iters=150)
@@ -102,12 +109,11 @@ def _classical_mi_objective(rho, k=4):
     """I(p_ij) over the POVM parameters, with the analytic gradient that
     classical_mi_max descends on."""
     pa, pb = PovmParam(2, k), PovmParam(2, k)
-    dims = rho.layout.dims
 
     def fun(x):
         ea, ca = pa.effects(x[:pa.n_params])
         eb, cb = pb.effects(x[pa.n_params:])
-        val, ga, gb = _classical_mi_and_grads(rho.mat, dims, (0,), (1,), ea, eb)
+        val, ga, gb = _classical_mi_and_grads(rho.mat, ea, eb)
         return val, np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)])
 
     return fun, pa.n_params + pb.n_params
@@ -132,3 +138,32 @@ def test_classical_mi_max_uses_analytic_gradient():
     # reported POVMs are valid (Povm construction re-validates)
     bv = classical_mi_max(bell_state(), 4, CFG)
     assert len(bv.diagnostics["povm_a"]) == 4
+
+
+def test_side_order_of_the_layout_does_not_change_statistics():
+    # B listed before A: the effects must still act on the A and B factors
+    rho = random_density(4, 4, seed=3)
+    swapped = DensityOperator(SubsystemLayout((("B", 2), ("A", 2)), {"A": "A", "B": "B"}),
+                              permute_factors(rho.mat, (2, 2), (1, 0)))
+    z = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    x = Povm(tuple(np.array([[1, s], [s, 1]]) / 2 for s in (1, -1)))
+    for m, n in ((z, x), (default_ic_povm(2), default_ic_povm(2))):
+        assert np.abs(measure_statistics(rho, m, n).p
+                      - measure_statistics(swapped, m, n).p).max() < 1e-12
+
+
+def test_interleaved_layout_agrees_with_its_a_first_permutation():
+    # factors A, B, A' interleave the sides; A, A', B lists A's first
+    rho = random_density(8, 1, seed=0, dims=(4, 2))
+    sides = {"A": "A", "B": "B", "A'": "A"}
+    a_first = DensityOperator(SubsystemLayout((("A", 2), ("A'", 2), ("B", 2)), sides), rho.mat)
+    inter = DensityOperator(SubsystemLayout((("A", 2), ("B", 2), ("A'", 2)), sides),
+                            permute_factors(rho.mat, (2, 2, 2), (0, 2, 1)))
+    cfg = OptimizerConfig(restarts=1, max_iters=20)
+    m, n = default_ic_povm(4), default_ic_povm(2)
+    # a few steps keep this quick; the KL objective they reach is already > 0
+    e1, e2 = eic_lower(a_first, m, n, cfg, max_iters=10), eic_lower(inter, m, n, cfg, max_iters=10)
+    f1, f2 = e1.diagnostics["objective"], e2.diagnostics["objective"]
+    assert f1 > 1e-3 and abs(f1 - f2) < 1e-12 and e1.value == e2.value
+    c1, c2 = classical_mi_max(a_first, 4, cfg), classical_mi_max(inter, 4, cfg)
+    assert c1.value > 1e-3 and abs(c1.value - c2.value) < 1e-12

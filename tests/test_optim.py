@@ -12,7 +12,6 @@ from bqmi.optim import (
     dykstra_project,
     entropy_combo,
     finite_diff_check,
-    marginal_penalty,
     minimize_penalized,
 )
 from bqmi.qcore import partial_trace_mat, von_neumann_entropy
@@ -198,7 +197,29 @@ def test_entropy_combo_matches_direct_entropies():
 
 def test_marginal_penalty_zero_iff_matched():
     sig = np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2).astype(complex)
-    v, g = marginal_penalty(sig, (2, 2), (0,), np.diag([0.25, 0.75]).astype(complex))
+    v, g = MarginalSet((2, 2), (0,), np.diag([0.25, 0.75])).penalty(sig)
     assert v < 1e-28
-    v2, _ = marginal_penalty(sig, (2, 2), (0,), np.eye(2).astype(complex) / 2)
+    assert np.abs(g).max() < 1e-14
+    unmatched = MarginalSet((2, 2), (0,), np.eye(2) / 2)
+    v2, g2 = unmatched.penalty(sig)
     assert v2 > 0.1
+    # the gradient is the derivative of the penalty along any direction
+    delta = random_herm(4, 3)
+    h = 1e-6
+    fd = (unmatched.penalty(sig + h * delta)[0] - unmatched.penalty(sig - h * delta)[0]) / (2 * h)
+    assert abs(fd - np.vdot(g2, delta).real) < 1e-8
+
+
+def test_entropy_combo_compressed_matches_embedded():
+    # sigma lives on a 3-dim subspace of one factor of a 4 x 2 space
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    w = np.kron(v, np.eye(2))
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    sig = g @ g.conj().T
+    sig /= sig.trace().real
+    terms = [(1.0, (0,)), (0.5, (1,)), (-1.0, None)]
+    val, fmat = entropy_combo(sig, (4, 2), terms, w)
+    want, fmat_full = entropy_combo(w @ sig @ w.conj().T, (4, 2), terms)
+    assert abs(val - want) < 1e-10
+    assert np.abs(fmat - w.conj().T @ fmat_full @ w).max() < 1e-9

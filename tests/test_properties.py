@@ -80,6 +80,17 @@ def check_solution(blocks, terms):
         start += len(bdims)
         if target is not None:
             assert np.linalg.norm(partial_trace_mat(x, dims, idx) - target) <= CFG.tol_residual
+    # supported in the product of the targets' supports
+    supports = []
+    for bdims, target in blocks:
+        if target is None:
+            supports.append(np.eye(int(np.prod(bdims))))
+        else:
+            lam, v = np.linalg.eigh(target)
+            v = v[:, lam > 1e-9]
+            supports.append(v @ v.conj().T)
+    p = functools.reduce(np.kron, supports)
+    assert np.linalg.norm(x - p @ x @ p) <= 1e-9
     parts = [np.eye(int(np.prod(b))) / np.prod(b) if t is None else t for b, t in blocks]
     product, _ = entropy_combo(functools.reduce(np.kron, parts), dims, terms)
     assert sol.value <= product + 1e-9
