@@ -51,7 +51,6 @@ from .optim import (
 from .broadcast import (
     BroadcastState,
     GrowthCurve,
-    broadcast_mi_symmetric,
     broadcast_mi_upper,
     definetti_upper,
     growth_curve,

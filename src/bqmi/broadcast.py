@@ -12,7 +12,6 @@ exact feasible set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,24 +60,17 @@ class GrowthCurve:
                         f"{self.classification}\n")
 
 
-def _copy_permutation(base_nf, n, perm):
-    """Factor permutation sending copy block k to block perm[k]."""
-    out = []
-    for k in perm:
-        out.extend(range(k * base_nf, (k + 1) * base_nf))
-    return out
+def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
+                       warm_starts=None) -> BoundedValue:
+    """Upper bound on the n-copy broadcast MI (I_b)_n of rho.
 
-
-def twirl_copies(mat, dims, base_nf, n):
-    """Average over all permutations of the n copy blocks."""
-    acc = np.zeros_like(mat, dtype=complex)
-    perms = list(itertools.permutations(range(n)))
-    for p in perms:
-        acc += permute_factors(mat, dims, _copy_permutation(base_nf, n, p))
-    return acc / len(perms)
-
-
-def _solve_broadcast(rho, n, cfg, warm_starts, symmetric):
+    Minimizes the cut MI over the broadcast feasible set with
+    solve_marginal_problem; the reported value is the MI at the best
+    Dykstra-projected feasible candidate.  Factorized copies and the
+    spectral de Finetti state are always included as warm starts, so the
+    value never exceeds n*I(rho) (+ tolerance); any caller-supplied
+    warm starts join the candidate pool the same way.
+    """
     layout = broadcast_layout(rho.layout, n)
     if n == 1:
         # The only 1-copy broadcast state is rho itself.
@@ -94,47 +86,20 @@ def _solve_broadcast(rho, n, cfg, warm_starts, symmetric):
 
         terms = [(1.0, layout.indices(layout.side_labels("A"))),
                  (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
-        sol = solve_marginal_problem(
-            [(rho.layout.dims, rho.mat)] * n, terms, cfg, candidates(),
-            # The solver passes one factor per copy block.
-            symmetrize=(lambda m, bdims: twirl_copies(m, bdims, 1, n)) if symmetric else None)
+        sol = solve_marginal_problem([(rho.layout.dims, rho.mat)] * n, terms, cfg,
+                                     candidates())
         value, joint, residuals, diag = sol.value, sol.joint, sol.residuals, sol.diagnostics
         diag["feasible_joints"] = [DensityOperator(layout, m) for m in sol.feasible]
     bv = BoundedValue(
         value=value,
         direction="upper",
-        method=("symmetric-" if symmetric else "") + "penalized-gd+dykstra",
+        method="penalized-gd+dykstra",
         residuals={"marginal_max": max(residuals)},
         diagnostics=diag,
     )
     bv.diagnostics["broadcast_state"] = BroadcastState(
         n, rho, DensityOperator(layout, joint), residuals)
     return bv
-
-
-def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
-                       warm_starts=None) -> BoundedValue:
-    """Upper bound on the n-copy broadcast MI (I_b)_n of rho.
-
-    Minimizes the cut MI over the broadcast feasible set with
-    solve_marginal_problem; the reported value is the MI at the best
-    Dykstra-projected feasible candidate.  Factorized copies and the
-    spectral de Finetti state are always included as warm starts, so the
-    value never exceeds n*I(rho) (+ tolerance); any caller-supplied
-    warm starts join the candidate pool the same way.
-    """
-    return _solve_broadcast(rho, n, cfg, warm_starts, symmetric=False)
-
-
-def broadcast_mi_symmetric(rho: DensityOperator, n: int, cfg: OptimizerConfig,
-                           warm_starts=None) -> BoundedValue:
-    """Upper bound on the permutation-invariant-restricted broadcast MI.
-
-    Same protocol as broadcast_mi_upper but every candidate is twirled over
-    copy permutations, so the reported joint is exactly permutation
-    invariant.
-    """
-    return _solve_broadcast(rho, n, cfg, warm_starts, symmetric=True)
 
 
 def definetti_upper(rho: DensityOperator, ens: Ensemble, n: int):

@@ -163,8 +163,7 @@ def cmd_chain(args):
     doc = rep.to_dict()
     doc["manifest"] = _manifest(args, cfg)
     _write_report(doc, args.out, time.perf_counter() - t0)
-    failed = any("failed" in note for note in rep.notes)
-    if failed:
+    if rep.failures:
         return EXIT_SOLVER
     return EXIT_OK if rep.verdict == "consistent" else EXIT_VERIFY
 

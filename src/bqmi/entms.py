@@ -73,6 +73,8 @@ class ChainReport:
     entries: dict  # name -> BoundedValue
     verdict: str
     notes: list
+    # entry name -> message of the solver failure that left it out
+    failures: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -91,22 +93,25 @@ def _ensemble_objective_terms(r_k, dims, a_idx, b_idx):
     """sum_k p_k I(rho_k) written through unnormalized members R_k = p_k rho_k,
     given as a (K, d, d) stack, plus the stack of matrix gradients
     dF = sum_k Tr[grad_k dR_k].  Members of weight below 1e-14 add nothing
-    and get a zero gradient."""
+    and get a zero gradient.  A stack of ensembles (..., K, d, d) gives one
+    value and one gradient stack per ensemble."""
     d = r_k.shape[-1]
-    p = np.einsum("kii->k", r_k).real
+    p = np.trace(r_k, axis1=-2, axis2=-1).real
     live = p >= 1e-14
-    r, p = r_k[live], p[live]
-    lam_r, log_r = eigh_log2(r)
-    lam_a, log_a = eigh_log2(partial_trace_mat(r, dims, a_idx))
-    lam_b, log_b = eigh_log2(partial_trace_mat(r, dims, b_idx))
-    val = (shannon_entropy(lam_a) + shannon_entropy(lam_b) - shannon_entropy(lam_r)
-           + float((p * np.log2(p)).sum()))
-    grads = np.zeros_like(r_k)
-    grads[live] = (log_r
-                   - expand_mat(log_a, dims, a_idx)
-                   - expand_mat(log_b, dims, b_idx)
-                   + np.log2(p)[:, None, None] * np.eye(d))
-    return val, grads
+    log_p = np.log2(np.where(live, p, 1.0))
+    lam_r, log_r = eigh_log2(r_k)
+    lam_a, log_a = eigh_log2(partial_trace_mat(r_k, dims, a_idx))
+    lam_b, log_b = eigh_log2(partial_trace_mat(r_k, dims, b_idx))
+    # One entropy over all members' spectra per ensemble: the spectra of the
+    # members below 1e-14 lie below ENTROPY_CLAMP and add nothing.
+    flat = r_k.shape[:-3] + (-1,)
+    val = (shannon_entropy(lam_a.reshape(flat)) + shannon_entropy(lam_b.reshape(flat))
+           - shannon_entropy(lam_r.reshape(flat)) + (p * log_p).sum(-1))
+    grads = (log_r
+             - expand_mat(log_a, dims, a_idx)
+             - expand_mat(log_b, dims, b_idx)
+             + log_p[..., None, None] * np.eye(d))
+    return val, np.where(live[..., None, None], grads, 0.0)
 
 
 def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
@@ -133,28 +138,32 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
 
     n_par = 2 * k * r * r
 
+    # The objective and the completeness penalty take a stack of parameter
+    # vectors (..., n_par), as minimize_penalized evaluates its restarts.
     def unpack(x):
-        g = x[:k * r * r] + 1j * x[k * r * r:]
-        return g.reshape(k, r, r)
+        g = x[..., :k * r * r] + 1j * x[..., k * r * r:]
+        return g.reshape(x.shape[:-1] + (k, r, r))
 
     def pack(g):
-        return np.concatenate([g.real.ravel(), g.imag.ravel()])
+        flat = g.shape[:-3] + (-1,)
+        return np.concatenate([g.real.reshape(flat), g.imag.reshape(flat)], axis=-1)
 
     def members(g):
-        return np.einsum("kij,kil->kjl", g.conj(), g)  # M_k = G_k† G_k
+        return g.conj().swapaxes(-1, -2) @ g  # M_k = G_k† G_k
 
     def objective(x):
         g = unpack(x)
         r_k = w @ members(g) @ w.conj().T
         val, grads_r = _ensemble_objective_terms(r_k, dims, a_idx, b_idx)
         gm = w.conj().T @ grads_r @ w
-        grad_g = 2.0 * g @ ((gm + gm.conj().swapaxes(1, 2)) / 2)
+        grad_g = 2.0 * g @ ((gm + gm.conj().swapaxes(-1, -2)) / 2)
         return 0.5 * val, 0.5 * pack(grad_g)
 
     def completeness(x):
         g = unpack(x)
-        dev = members(g).sum(0) - np.eye(r)
-        return float(np.linalg.norm(dev) ** 2), pack(4.0 * g @ dev)
+        dev = members(g).sum(-3) - np.eye(r)
+        sq = (dev.real ** 2 + dev.imag ** 2).sum((-2, -1))
+        return sq, pack(4.0 * g @ dev[..., None, :, :])
 
     def init_from_povm_mats(mats):
         g = np.zeros((k, r, r), dtype=complex)
@@ -178,20 +187,20 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     s = ms.sum(0) + 1e-15 * np.eye(r)
     ls, us = np.linalg.eigh(s)
     inv_sqrt = (us * np.clip(ls, 1e-15, None) ** -0.5) @ us.conj().T
-    members = []
+    kept = []
     for m in ms:
         mk = inv_sqrt @ m @ inv_sqrt
         rk = w @ mk @ w.conj().T
         p = rk.trace().real
         if p > 1e-12:
-            members.append((p, DensityOperator(rho.layout, (rk + rk.conj().T) / 2 / p)))
-    total = sum(p for p, _ in members)
-    members = [(p / total, m) for p, m in members]
-    ens = Ensemble(tuple(members))
+            kept.append((p, DensityOperator(rho.layout, (rk + rk.conj().T) / 2 / p)))
+    total = sum(p for p, _ in kept)
+    kept = [(p / total, m) for p, m in kept]
+    ens = Ensemble(tuple(kept))
     value = 0.5 * sum(p * mutual_information(m) for p, m in ens.members)
     avg_residual = trace_distance(ens.average(), rho)
     diag = opt.summary()
-    diag["ensemble_size"] = len(members)
+    diag["ensemble_size"] = len(kept)
     bv = BoundedValue(
         value=float(value),
         direction="upper",
@@ -407,14 +416,21 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     """Evaluate the inequality chain 2E^C_sq >= per-copy broadcast MI limit
     >= 2E_I >= 2E^Q_sq together with the measured-correlation lower bound,
     and check every verifiable cross-direction pair.  Solver failures
-    (SOLVER_FAILURES) become notes and missing entries; other errors raise."""
+    (SOLVER_FAILURES) become notes and missing entries, and the report's
+    failures map each missing entry's name to its message; other errors
+    raise."""
     from .broadcast import broadcast_mi_upper
     from .states import definetti_broadcast
 
     entries = {}
     notes = []
+    failures = {}
     results = {}
     ensemble = None
+
+    def failed(key, entry, e):
+        notes.append(f"{key} failed: {e}")
+        failures[entry] = str(e)
 
     # The ensemble solver runs first: its optimal ensemble seeds the flag
     # extensions for the other upper bounds (load-bearing for separable
@@ -423,7 +439,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         results["ecsq"] = ecsq_upper(rho, None, cfg)
         ensemble = results["ecsq"].diagnostics.get("ensemble")
     except SOLVER_FAILURES as e:
-        notes.append(f"ecsq failed: {e}")
+        failed("ecsq", "2ecsq", e)
 
     dim_e = max(rho.dim, len(ensemble.members) if ensemble else 0)
     dim_p = max(2, len(ensemble.members) if ensemble else 0)
@@ -448,7 +464,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         try:
             results[k] = f()
         except SOLVER_FAILURES as e:
-            notes.append(f"{k} failed: {e}")
+            failed(k, "eic" if k == "eic" else "2" + k, e)
 
     for key in ("ecsq", "esq", "cemi"):
         if key in results:
@@ -469,7 +485,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         try:
             up = broadcast_mi_upper(rho, nn, cfg, warm_starts=warm)
         except SOLVER_FAILURES as e:
-            notes.append(f"broadcast n={nn} failed: {e}")
+            failed(f"broadcast n={nn}", f"ib_per_copy_n{nn}", e)
             continue
         prev = up.diagnostics["broadcast_state"].joint.mat
         ib_est[nn] = up.value
@@ -503,4 +519,5 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     missing = (set(tasks) | {"ecsq"}) - set(results)
     if missing:
         notes.append(f"missing entries: {sorted(missing)}")
-    return ChainReport(state=name, entries=entries, verdict=verdict, notes=notes)
+    return ChainReport(state=name, entries=entries, verdict=verdict, notes=notes,
+                       failures=failures)

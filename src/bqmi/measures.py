@@ -13,7 +13,6 @@ from .qcore import (
     ValidationError,
     a_first_mat,
     mutual_information,
-    partial_trace_mat,
     shannon_entropy,
     tensor,
 )
@@ -93,7 +92,7 @@ def measure_statistics(rho: DensityOperator, m: Povm, n: Povm) -> JointDistribut
 def classical_mi_fixed(dist: JointDistribution) -> float:
     """Classical mutual information of a joint distribution, in bits."""
     p = dist.p
-    return shannon_entropy(p.sum(1)) + shannon_entropy(p.sum(0)) - shannon_entropy(p)
+    return shannon_entropy(p.sum(1)) + shannon_entropy(p.sum(0)) - shannon_entropy(p.ravel())
 
 
 def _tetrahedral_sic():
@@ -146,7 +145,8 @@ class PovmParam:
 
     S = sum_i G_i† G_i (+ small regularizer), so the effects are PSD and
     complete by construction.  The exact gradient chain through S^{-1/2}
-    uses the Sylvester-kernel trick in the eigenbasis of S^{1/2}.
+    uses the Sylvester-kernel trick in the eigenbasis of S^{1/2}.  effects
+    and grad_x also take a stack of vectors (..., n_params).
     """
 
     def __init__(self, dim, n_outcomes, reg=1e-12):
@@ -157,38 +157,39 @@ class PovmParam:
 
     def unpack(self, x):
         n = self.k * self.dim * self.dim
-        g = x[:n] + 1j * x[n:]
-        return g.reshape(self.k, self.dim, self.dim)
+        g = x[..., :n] + 1j * x[..., n:]
+        return g.reshape(x.shape[:-1] + (self.k, self.dim, self.dim))
 
     def pack(self, g):
-        return np.concatenate([g.real.ravel(), g.imag.ravel()])
+        flat = g.shape[:-3] + (-1,)
+        return np.concatenate([g.real.reshape(flat), g.imag.reshape(flat)], axis=-1)
 
     def effects(self, x):
         g = self.unpack(x)
-        ks = np.einsum("kij,kil->kjl", g.conj(), g)
-        s = ks.sum(0) + self.reg * np.eye(self.dim)
+        ks = g.conj().swapaxes(-1, -2) @ g  # K_i = G_i† G_i
+        s = ks.sum(-3) + self.reg * np.eye(self.dim)
         lam, u = np.linalg.eigh(s)
         lam = np.clip(lam, self.reg, None)
-        a = (u * lam ** -0.5) @ u.conj().T  # S^{-1/2}
-        effs = np.einsum("ab,kbc,cd->kad", a, ks, a)
+        a = (u * lam[..., None, :] ** -0.5) @ u.conj().swapaxes(-1, -2)  # S^{-1/2}
+        effs = a[..., None, :, :] @ ks @ a[..., None, :, :]
         cache = (g, ks, a, np.sqrt(lam), u)
         return effs, cache
 
     def grad_x(self, f_effs, cache):
         """Pull back d f = sum_i Tr[F_i d E_i] to the parameter vector."""
         g, ks, a, beta, u = cache
-        # A = S^{-1/2}; collect the dA terms: Q = sum_i (K_i A F_i + F_i A K_i)
-        q = np.einsum("kab,bc,kcd->ad", ks, a, f_effs) \
-            + np.einsum("kab,bc,kcd->ad", f_effs, a, ks)
+        ak = a[..., None, :, :]  # A = S^{-1/2}, against every effect
+        # collect the dA terms: Q = sum_i (K_i A F_i + F_i A K_i)
+        q = (ks @ ak @ f_effs + f_effs @ ak @ ks).sum(-3)
         # dA = -A dB A with B = S^{1/2}; dB solves B dB + dB B = dS, which in
         # the eigenbasis of B is elementwise division by beta_i + beta_j.
-        y = -a @ q @ a
-        yt = u.conj().T @ y @ u
-        denom = beta[:, None] + beta[None, :]
-        z = u @ (yt / denom) @ u.conj().T
+        uh = u.conj().swapaxes(-1, -2)
+        yt = uh @ (-a @ q @ a) @ u
+        denom = beta[..., :, None] + beta[..., None, :]
+        z = u @ (yt / denom) @ uh
         # Coefficient of dK_i: C_i = A F_i A + Z.
-        c = a @ f_effs @ a + z
-        c = (c + c.conj().swapaxes(1, 2)) / 2
+        c = ak @ f_effs @ ak + z[..., None, :, :]
+        c = (c + c.conj().swapaxes(-1, -2)) / 2
         return self.pack(2.0 * g @ c)
 
     def init_from_povm(self, povm: Povm):
@@ -206,29 +207,24 @@ class PovmParam:
 
 def _classical_mi_and_grads(rho_ab, effs_a, effs_b):
     """I(p_ij) plus gradients with respect to each local effect; rho_ab has
-    its A factors first (a_first_mat)."""
-    ka, kb = effs_a.shape[0], effs_b.shape[0]
-    # rho reduced against each B effect and vice versa.
-    da = effs_a.shape[1]
-    db = effs_b.shape[1]
-    rt_b = np.empty((kb, da, da), dtype=complex)  # Tr_B[(I x N_j) rho]
-    rt_a = np.empty((ka, db, db), dtype=complex)  # Tr_A[(M_i x I) rho]
-    for j in range(kb):
-        op = np.kron(np.eye(da), effs_b[j])
-        rt_b[j] = partial_trace_mat(op @ rho_ab, (da, db), (0,))
-    for i in range(ka):
-        op = np.kron(effs_a[i], np.eye(db))
-        rt_a[i] = partial_trace_mat(op @ rho_ab, (da, db), (1,))
-    p = np.einsum("iab,jba->ij", effs_a, rt_b).real
+    its A factors first (a_first_mat).  Stacks of effect sets (..., k, d, d)
+    give one value and one pair of gradients per set."""
+    da, db = effs_a.shape[-1], effs_b.shape[-1]
+    r4 = rho_ab.reshape(da, db, da, db)
+    # rho reduced against each B effect and vice versa:
+    # Tr_B[(I x N_j) rho] and Tr_A[(M_i x I) rho].
+    rt_b = np.einsum("...jbc,acdb->...jad", effs_b, r4)
+    rt_a = np.einsum("...iac,cbad->...ibd", effs_a, r4)
+    p = np.einsum("...iab,...jba->...ij", effs_a, rt_b).real
     p = np.clip(p, 1e-15, None)
-    pa = p.sum(1)
-    pb = p.sum(0)
-    log_ratio = np.log2(p) - np.log2(pa)[:, None] - np.log2(pb)[None, :]
-    val = float((p * log_ratio).sum())
+    pa = p.sum(-1)
+    pb = p.sum(-2)
+    log_ratio = np.log2(p) - np.log2(pa)[..., :, None] - np.log2(pb)[..., None, :]
+    val = (p * log_ratio).sum((-2, -1))
     # rt_b[j] and rt_a[i] are Hermitian, so they serve directly as the
     # effect-space gradients d p_ij = Tr[dE_i rt_b[j]] etc.
-    grad_a = np.einsum("ij,jab->iab", log_ratio, rt_b)
-    grad_b = np.einsum("ij,iab->jab", log_ratio, rt_a)
+    grad_a = np.einsum("...ij,...jab->...iab", log_ratio, rt_b)
+    grad_b = np.einsum("...ij,...iab->...jab", log_ratio, rt_a)
     return val, grad_a, grad_b
 
 
@@ -246,14 +242,14 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
     pb = PovmParam(db, k)
 
     def split(x):
-        return x[:pa.n_params], x[pa.n_params:]
+        return x[..., :pa.n_params], x[..., pa.n_params:]
 
     def neg_fun(x):
         xa, xb = split(x)
         ea, ca = pa.effects(xa)
         eb, cb = pb.effects(xb)
         val, ga, gb = _classical_mi_and_grads(rho_ab, ea, eb)
-        grad = np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)])
+        grad = np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)], axis=-1)
         return -val, -grad
 
     inits = []

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -114,10 +115,12 @@ class BoundedValue:
         }
 
 
-def _descend(fun, x, max_iters, step_init, tol_objective):
-    """Backtracking gradient descent.  fun(x) -> (f, grad).  Returns
-    (x, f, iterations, converged); the accepted-objective trace is monotone."""
-    f, g = fun(x)
+def _descend(x, max_iters, step_init, tol_objective):
+    """Backtracking gradient descent from x, written as a generator: it
+    yields each point it wants evaluated and is sent that point's (f, grad).
+    Returns (x, f, iterations, converged); the accepted-objective trace is
+    monotone."""
+    f, g = yield x
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at start")
     t = step_init
@@ -129,7 +132,7 @@ def _descend(fun, x, max_iters, step_init, tol_objective):
         moved = False
         for _ in range(40):
             xn = x - t * g
-            fn, gn = fun(xn)
+            fn, gn = yield xn
             if np.isnan(fn):
                 raise FloatingPointError("objective NaN during line search")
             if fn <= f - 1e-4 * t * gnorm2:
@@ -146,53 +149,94 @@ def _descend(fun, x, max_iters, step_init, tol_objective):
     return x, f, it, False
 
 
+def _restart(x, cfg):
+    """One restart: a _descend per penalty stage, then one evaluation at the
+    optimum.  A generator like _descend, but it is sent the objective's and
+    every constraint's values unweighted, as (f, grad, [(value, grad), ...]),
+    and weighs them itself.  Returns (penalized value, x, objective value,
+    constraint values, converged, iterations)."""
+    total, converged, f_pen = 0, True, np.inf
+    for w in cfg.penalty_schedule:
+        stage = _descend(x, cfg.max_iters, cfg.step_init, cfg.tol_objective)
+        point = next(stage)
+        while True:
+            f, g, cons = yield point
+            for cv, cg in cons:
+                f = f + w * cv
+                g = g + w * cg
+            del cons  # rows of the round's stacked arrays, which can now go
+            try:
+                point = stage.send((f, g))
+            except StopIteration as stop:
+                x, f_pen, it, conv = stop.value
+                break
+        total += it
+        converged = converged and conv
+    f_obj, _, cons = yield x
+    return f_pen, x, f_obj, [cv for cv, _ in cons], converged, total
+
+
+def _evaluate(objective, constraints, xs):
+    """The objective and every constraint on the stack xs, split per row.  A
+    stack whose eigensolver fails (or that raises FloatingPointError) is
+    evaluated again one row at a time; a row that fails by itself gives
+    None."""
+    try:
+        f, g = objective(xs)
+        cons = [c(xs) for _, c in constraints]
+    except (FloatingPointError, np.linalg.LinAlgError):
+        if len(xs) == 1:
+            return [None]
+        return [v for i in range(len(xs)) for v in _evaluate(objective, constraints, xs[i:i + 1])]
+    return [(f[i], g[i], [(cv[i], cg[i]) for cv, cg in cons]) for i in range(len(xs))]
+
+
 def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
                        inits=None):
-    """Multi-start penalized minimization.
+    """Multi-start penalized minimization, all restarts in lockstep.
 
-    objective(x) -> (f, grad); constraints is a list of (name, fn) with
-    fn(x) -> (value, grad), added as w * value with w ramped over
-    cfg.penalty_schedule.  inits seeds the first restarts; the rest start
-    from standard-normal points drawn with master_seed + restart_index.
-    A restart whose objective turns NaN or whose eigensolver fails
-    (numpy.linalg.LinAlgError) is dropped.  Returns the best OptimResult
-    (lowest final penalized value, ties broken by restart index).
+    objective and each fn of constraints, a list of (name, fn), take a stack
+    of points x of shape (m, param_dim) and return (values, grads) of shapes
+    (m,) and (m, param_dim), row k belonging to point k alone.  A constraint
+    is added as w * value with w ramped over cfg.penalty_schedule, each
+    restart through its own stages.  Every round, the points that all live
+    restarts ask for are evaluated as one stack, so each restart follows the
+    trajectory it would follow alone.  inits seeds the first restarts; the
+    rest start from standard-normal points drawn with master_seed +
+    restart_index.  A restart whose objective turns NaN or whose eigensolver
+    fails (numpy.linalg.LinAlgError) is dropped: a round that raises is
+    evaluated again one point at a time to find it.  Returns the best
+    OptimResult (lowest final penalized value, ties broken by restart index).
     """
     inits = list(inits) if inits is not None else []
-    results = []
+    runs = []
     for r in range(cfg.restarts):
         if r < len(inits):
             x = np.asarray(inits[r], dtype=float).copy()
             if x.size != param_dim:
                 raise ValueError(f"init {r} has size {x.size}, expected {param_dim}")
         else:
-            rng = np.random.default_rng(cfg.master_seed + r)
-            x = rng.standard_normal(param_dim)
-        try:
-            total_iters = 0
-            converged = True
-            f_pen = np.inf
-            for w in cfg.penalty_schedule:
-                def fun(z, w=w):
-                    f, g = objective(z)
-                    for _, c in constraints:
-                        cv, cg = c(z)
-                        f = f + w * cv
-                        g = g + w * cg
-                    return f, g
-                x, f_pen, it, conv = _descend(
-                    fun, x, cfg.max_iters, cfg.step_init, cfg.tol_objective)
-                total_iters += it
-                converged = converged and conv
-            f_obj, _ = objective(x)
-            res = {name: c(x)[0] for name, c in constraints}
-        except (FloatingPointError, np.linalg.LinAlgError):
-            # A NaN objective or an eigensolver that did not converge drops
-            # this restart; the others still count.
-            continue
-        results.append((f_pen, r, OptimResult(
-            value=float(f_obj), argmin=x, residuals=res,
-            converged=converged, iterations_used=total_iters, restart_index=r)))
+            x = np.random.default_rng(cfg.master_seed + r).standard_normal(param_dim)
+        runs.append(_restart(x, cfg))
+    points = {r: next(run) for r, run in enumerate(runs)}
+    results = []
+    while points:
+        live = list(points)
+        values = _evaluate(objective, constraints, np.stack([points.pop(r) for r in live]))
+        for r, val in zip(live, values):
+            if val is None:
+                continue  # its eigensolver failed: this restart is dropped
+            try:
+                points[r] = runs[r].send(val)
+            except StopIteration as stop:
+                f_pen, x, f_obj, cvals, converged, iters = stop.value
+                results.append((f_pen, r, OptimResult(
+                    value=float(f_obj), argmin=x,
+                    residuals={name: float(cv) for (name, _), cv in zip(constraints, cvals)},
+                    converged=converged, iterations_used=iters, restart_index=r)))
+            except FloatingPointError:
+                continue  # NaN objective: this restart is dropped
+        values = val = None  # free this round's stacked arrays before the next
     if not results:
         raise FloatingPointError(
             "all restarts aborted (NaN objective or eigensolver failure)")
@@ -288,7 +332,7 @@ class MarginalSet:
         self.keep_idx = tuple(keep_idx)
         self.target = np.asarray(target, dtype=complex)
         self.name = name
-        self._d_others = int(np.prod(self.dims)) // self.target.shape[0]
+        self._d_others = math.prod(self.dims) // self.target.shape[0]
 
     def _deviation(self, x):
         return partial_trace_mat(x, self.dims, self.keep_idx) - self.target
@@ -302,9 +346,11 @@ class MarginalSet:
 
     def penalty(self, x):
         """Squared Frobenius deviation of the marginal and its matrix
-        gradient 2 (dev (x) I)."""
+        gradient 2 (dev (x) I).  A stack x (..., d, d) gives one of each per
+        matrix."""
         dev = self._deviation(x)
-        return float(np.linalg.norm(dev) ** 2), 2.0 * expand_mat(dev, self.dims, self.keep_idx)
+        sq = (dev.real ** 2 + dev.imag ** 2).sum((-2, -1))
+        return sq, 2.0 * expand_mat(dev, self.dims, self.keep_idx)
 
 
 def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
@@ -338,7 +384,8 @@ class DensityParam:
     G is an unconstrained complex dim x rank matrix stored as a flat real
     vector [Re G, Im G].  The eps regularizer keeps sigma full rank so the
     entropy gradient d S(sigma + t Delta)/dt = -Tr[Delta log2 sigma]
-    - log2(e) Tr Delta is safe to use.
+    - log2(e) Tr Delta is safe to use.  Every method also takes a stack of
+    vectors (..., n_params) and works on each of them.
     """
 
     def __init__(self, dim, rank=None, eps=1e-9):
@@ -349,26 +396,32 @@ class DensityParam:
 
     def unpack(self, x):
         n = self.dim * self.rank
-        g = x[:n] + 1j * x[n:]
-        return g.reshape(self.dim, self.rank)
+        g = x[..., :n] + 1j * x[..., n:]
+        return g.reshape(x.shape[:-1] + (self.dim, self.rank))
 
     def pack(self, g):
-        return np.concatenate([g.real.ravel(), g.imag.ravel()])
+        return np.stack([g.real, g.imag], axis=-3).reshape(g.shape[:-2] + (-1,))
 
     def sigma(self, x):
         """Return (sigma, cache) where cache is reused by grad_x."""
         g = self.unpack(x)
-        h = g @ g.conj().T + self.eps * np.eye(self.dim)
-        tau = h.trace().real
+        h = g @ g.conj().swapaxes(-1, -2) + self.eps * np.eye(self.dim)
+        tau = np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
         return h / tau, (g, tau)
 
     def grad_x(self, f_sigma, sigma, cache):
         """Pull a matrix gradient d f = Tr[F d sigma] back to the x vector."""
         g, tau = cache
-        f_sigma = (f_sigma + f_sigma.conj().T) / 2
-        w = f_sigma / tau - (np.vdot(f_sigma, sigma).real / tau) * np.eye(self.dim)
-        wg = 2.0 * (w @ g)
-        return np.concatenate([wg.real.ravel(), wg.imag.ravel()])
+        # In-place steps keep fewer (..., dim, dim) temporaries alive at once.
+        f_sigma = f_sigma + f_sigma.conj().swapaxes(-1, -2)
+        f_sigma /= 2
+        # Re Tr[F sigma] for Hermitian F and sigma, one per matrix
+        fs = (f_sigma.real * sigma.real + f_sigma.imag * sigma.imag).sum((-2, -1))
+        f_sigma /= tau
+        f_sigma -= (fs[..., None, None] / tau) * np.eye(self.dim)
+        wg = f_sigma @ g
+        wg *= 2.0
+        return self.pack(wg)
 
     def init_from_matrix(self, mat):
         """Pick x so that sigma(x) is (close to) the given density matrix."""
@@ -385,18 +438,21 @@ def entropy_combo(sigma, dims, terms, w=None):
 
     terms: list of (coef, keep_idx) with keep_idx None meaning the full
     state.  Returns (value_bits, F) with d f = Tr[F d sigma]; each term
-    takes its value and its gradient from one eigendecomposition.
+    takes its value and its gradient from one eigendecomposition.  A stack
+    sigma (..., d, d) gives a value and an F per matrix, each term taking one
+    stacked eigendecomposition.
 
     w, when given, is an isometry from sigma's space into the space that
     dims factor: the state is then W sigma W†.  Its full-state entropy is
     S(sigma) itself; the marginal terms are taken on W sigma W† and their
     gradient is pulled back as W† F W.
     """
-    d = sigma.shape[0]
+    d = sigma.shape[-1]
     f = 0.0
     # d S(red) = -Tr[(log2 red + log2(e) I) d red], and the identity parts
     # of all terms expand to one multiple of the identity.
-    fmat = -LOG2E * sum(coef for coef, _ in terms) * np.eye(d, dtype=complex)
+    fmat = np.broadcast_to(-LOG2E * sum(coef for coef, _ in terms) * np.eye(d, dtype=complex),
+                           sigma.shape).copy()
     # W sigma W† and the marginal terms' gradient there; without W these
     # are sigma and fmat themselves, so the terms add up in their order.
     full, cut = sigma, fmat
@@ -410,7 +466,7 @@ def entropy_combo(sigma, dims, terms, w=None):
         else:
             lam, log = eigh_log2(partial_trace_mat(full, dims, keep))
             cut -= coef * expand_mat(log, dims, keep)
-        f += coef * shannon_entropy(lam)
+        f = f + coef * shannon_entropy(lam)
     if w is not None:
         fmat += w.conj().T @ cut @ w
     return f, fmat
@@ -427,8 +483,7 @@ class MarginalSolution:
     diagnostics: dict
 
 
-def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
-                           symmetrize=None) -> MarginalSolution:
+def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> MarginalSolution:
     """Minimize an entropy combination over joint states with fixed marginals.
 
     blocks: the joint's contiguous factor groups in tensor order, each a
@@ -437,23 +492,19 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     factor dims.  candidates: extra starting joints (matrices or objects with
     a .mat), consumed only after the BQ_MAX_DIM check on the joint dimension;
     the product of the targets, maximally mixed on free blocks, always comes
-    first.  symmetrize: an optional linear self-adjoint projection (such as a
-    copy twirl), called as symmetrize(mat, block_dims) with one factor per
-    block and applied to every candidate, iterate and gradient.
+    first.
 
     Any PSD joint with these marginals lives in the product of the targets'
     supports, the range of W = (x) (support basis of each block), so the
     whole solve runs there: the penalized DensityParam descent from the
     compressed candidates, then the Dykstra projection of its optimum and of
     every candidate, where each target is full rank and the product
-    candidate is an interior point.  symmetrize is applied there too, so it
-    must commute with W, as a copy twirl over identical blocks does.  The
-    projected joints are embedded back, and the feasible one with the lowest
-    exact value is returned.  Raises DimensionCapError above the cap and
+    candidate is an interior point.  The projected joints are embedded back,
+    and the feasible one with the lowest exact value is returned.  Raises DimensionCapError above the cap and
     RuntimeError when no candidate meets cfg.tol_residual.
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if d > dim_cap():
         raise DimensionCapError(
             f"joint dimension {d} exceeds cap {dim_cap()} (set BQ_MAX_DIM to raise)")
@@ -464,7 +515,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     compressed = []  # (block position, target within its support)
     start = 0
     for k, (bdims, target) in enumerate(blocks):
-        bd = int(np.prod(bdims))
+        bd = math.prod(bdims)
         basis = np.eye(bd)
         if target is None:
             parts.append(basis / bd)
@@ -482,37 +533,31 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     w = None  # None when every block is full rank: then W = I
     if any(b.shape[0] != b.shape[1] for b in bases):
         w = functools.reduce(np.kron, bases)
-    bdims = tuple(b.shape[0] for b in bases)
     cdims = tuple(b.shape[1] for b in bases)
-
-    def sym(m, block_dims=cdims):
-        return m if symmetrize is None else symmetrize(m, block_dims)
 
     cands = []  # compressed candidates, each seeding a restart
     for c in itertools.chain([functools.reduce(np.kron, parts)], candidates):
         c = np.asarray(getattr(c, "mat", c), dtype=complex)
         if c.shape != (d, d):
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
-        c = sym(c, bdims)
         cands.append(c if w is None else w.conj().T @ c @ w)
 
     msets = [MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
-    par = DensityParam(int(np.prod(cdims)))
-    # minimize_penalized evaluates the objective and then every penalty at
-    # the same x array, so one sigma(x) and one twirl serve them all.  The
-    # cache holds that array (nothing mutates it in place) and its results.
+    par = DensityParam(math.prod(cdims))
+    # minimize_penalized evaluates the objective and then every penalty on
+    # the same stack of points, so one stacked sigma serves them all.  The
+    # cache holds that stack (nothing mutates it in place) and its results.
     last = [None, None]
 
     def evaluate(x):
         if last[0] is not x:
-            last[:] = [None, None]  # free the previous point's gradients first
+            last[:] = [None, None]  # free the previous round's gradients first
             s, cache = par.sigma(x)
-            ss = sym(s)
-            f, fmat = entropy_combo(ss, dims, terms, w)
-            out = [(f, par.grad_x(sym(fmat), s, cache))]
+            f, fmat = entropy_combo(s, dims, terms, w)
+            out = [(f, par.grad_x(fmat, s, cache))]
             for m in msets:
-                cv, cg = m.penalty(ss)
-                out.append((cv, par.grad_x(sym(cg), s, cache)))
+                cv, cg = m.penalty(s)
+                out.append((cv, par.grad_x(cg, s, cache)))
             last[:] = [x, out]
         return last[1]
 
@@ -522,7 +567,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
     constraints = [(m.name, lambda x, k=k: evaluate(x)[k + 1]) for k, m in enumerate(msets)]
     opt = minimize_penalized(objective, constraints, par.n_params, cfg,
                              inits=[par.init_from_matrix(c) for c in cands])
-    pool = [sym(par.sigma(opt.argmin)[0])] + cands
+    pool = [par.sigma(opt.argmin)[0]] + cands
     sets = [PsdSet(), TraceOneSet()] + msets
 
     best = None
@@ -534,7 +579,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates,
         except RuntimeError as e:
             failures.append(str(e))
             continue
-        x = sym(x if w is None else w @ x @ w.conj().T, bdims)
+        x = x if w is None else w @ x @ w.conj().T
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
         if max(res, default=0.0) > cfg.tol_residual:
             continue

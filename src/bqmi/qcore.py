@@ -6,12 +6,15 @@ the bipartite cut each factor belongs to.  All entropic quantities are in
 bits (log base 2).
 
 partial_trace_mat, expand_mat and eigh_log2 also accept stacks of matrices
-with leading batch axes (..., d, d); shannon_entropy flattens its input, so a
-stack of spectra gives the sum of their entropies.
+with leading batch axes (..., d, d), and shannon_entropy a stack of spectra
+(..., n): slice k of a stacked call equals the call on slice k.  The solvers
+evaluate all restarts of a descent as one stack (optim.minimize_penalized).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +65,7 @@ class SubsystemLayout:
 
     @property
     def dim(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def side_labels(self, side):
         return tuple(lab for lab, _ in self.factors if self.sides[lab] == side)
@@ -126,6 +129,23 @@ def _as_tensor(mat, dims):
     return np.asarray(mat).reshape(tuple(dims) * 2)
 
 
+@functools.lru_cache(maxsize=256)
+def _split_axes(dims, keep_idx, nb):
+    """How partial_trace_mat and expand_mat regroup a stack with nb batch
+    axes on the factors dims: the transpose to the kept factors followed by
+    the others, its inverse, the factor dims in that order, and the dims dk
+    and dd of the two groups."""
+    m = len(dims)
+    order = list(keep_idx) + [i for i in range(m) if i not in keep_idx]
+
+    def axes(o):
+        return tuple(range(nb)) + tuple(nb + i for i in o) + tuple(nb + m + i for i in o)
+
+    dk = math.prod(dims[i] for i in keep_idx)
+    return (axes(order), axes(np.argsort(order).tolist()),
+            tuple(dims[i] for i in order) * 2, dk, math.prod(dims) // dk)
+
+
 def partial_trace_mat(mat, dims, keep_idx):
     """Partial trace of a square matrix over the factors not in keep_idx.
 
@@ -135,15 +155,9 @@ def partial_trace_mat(mat, dims, keep_idx):
     """
     mat = np.asarray(mat)
     batch = mat.shape[:-2]
-    nb = len(batch)
-    m = len(dims)
-    keep = list(keep_idx)
-    drop = [i for i in range(m) if i not in keep]
-    t = mat.reshape(batch + tuple(dims) * 2)
-    perm = list(range(nb)) + [nb + i for i in keep + drop] + [nb + m + i for i in keep + drop]
-    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
-    dd = int(np.prod([dims[i] for i in drop])) if drop else 1
-    t = t.transpose(perm).reshape(batch + (dk, dd, dk, dd))
+    dims = tuple(dims)
+    to_split, _, _, dk, dd = _split_axes(dims, tuple(keep_idx), len(batch))
+    t = mat.reshape(batch + dims * 2).transpose(to_split).reshape(batch + (dk, dd, dk, dd))
     return np.einsum("...ijkj->...ik", t)
 
 
@@ -166,20 +180,13 @@ def expand_mat(mat, dims, keep_idx):
     """
     mat = np.asarray(mat)
     batch = mat.shape[:-2]
-    nb = len(batch)
-    m = len(dims)
-    keep = list(keep_idx)
-    drop = [i for i in range(m) if i not in keep]
-    dd = int(np.prod([dims[i] for i in drop])) if drop else 1
-    # mat (x) I_dd as a (..., dk, dd, dk, dd) block, built by broadcasting.
+    dims = tuple(dims)
+    _, from_split, split_dims, dk, dd = _split_axes(dims, tuple(keep_idx), len(batch))
+    # mat (x) I_dd as a (..., dk, dd, dk, dd) block, built by broadcasting,
+    # laid out as the kept factors then the others; permute back.
     big = mat[..., :, None, :, None] * np.eye(dd)[:, None, :]
-    order = keep + drop
-    # big is laid out as keep-factors then drop-factors; permute back.
-    inv = np.argsort(order)
-    t = big.reshape(batch + tuple(dims[i] for i in order) * 2)
-    perm = list(range(nb)) + [nb + i for i in inv] + [nb + m + i for i in inv]
-    d = int(np.prod(dims))
-    return t.transpose(perm).reshape(batch + (d, d))
+    t = big.reshape(batch + split_dims).transpose(from_split)
+    return t.reshape(batch + (dk * dd, dk * dd))
 
 
 def permute_factors(mat, dims, perm):
@@ -187,7 +194,7 @@ def permute_factors(mat, dims, perm):
     m = len(dims)
     t = _as_tensor(mat, dims)
     p = list(perm) + [m + i for i in perm]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.transpose(p).reshape(d, d)
 
 
@@ -201,7 +208,7 @@ def a_first_mat(rho: DensityOperator):
     layout = rho.layout
     a = layout.indices(layout.side_labels("A"))
     b = layout.indices(layout.side_labels("B"))
-    da = int(np.prod([layout.dims[i] for i in a]))
+    da = math.prod(layout.dims[i] for i in a)
     return permute_factors(rho.mat, layout.dims, a + b), da, rho.dim // da
 
 
@@ -212,7 +219,7 @@ def partial_transpose_mat(mat, dims, axes):
     perm = list(range(2 * m))
     for i in axes:
         perm[i], perm[m + i] = perm[m + i], perm[i]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.transpose(perm).reshape(d, d)
 
 
@@ -224,17 +231,27 @@ def partial_transpose(rho: DensityOperator, side="B"):
     return partial_transpose_mat(rho.mat, rho.layout.dims, axes)
 
 
-def shannon_entropy(p) -> float:
+def shannon_entropy(p):
     """Shannon entropy -sum p log2 p of a probability vector, in bits.
 
     The one entropy kernel: von Neumann entropies are Shannon entropies of
     spectra.  Entries at or below ENTROPY_CLAMP count as 0 (0 log 0 = 0).
-    Input of any shape is flattened, so a stack of spectra gives the sum of
-    their entropies.
+    A vector gives a float; a stack (..., n) gives one entropy per vector,
+    each summed exactly as the vector alone would be.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    p = p[p > ENTROPY_CLAMP]
-    return float(-(p * np.log2(p)).sum())
+    p = np.asarray(p, dtype=float)
+    if p.ndim <= 1:
+        p = p[p > ENTROPY_CLAMP]
+        return float(-(p * np.log2(p)).sum())
+    keep = p > ENTROPY_CLAMP
+    terms = np.where(keep, p, 1.0)
+    terms *= np.log2(terms)
+    s = terms.sum(-1)
+    # Zeros in place of clamped entries regroup numpy's pairwise sum; a
+    # vector with clamped entries is summed over its kept entries alone.
+    for k in zip(*np.nonzero(~keep.all(-1))):
+        s[k] = terms[k][keep[k]].sum()
+    return -s
 
 
 def von_neumann_entropy(rho) -> float:
@@ -303,5 +320,5 @@ def eigh_log2(mat, clamp=1e-14):
     returns (..., d) eigenvalues and (..., d, d) logarithms.
     """
     lam, v = np.linalg.eigh(mat)
-    log = (v * np.log2(np.clip(lam, clamp, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    log = (v * np.log2(np.maximum(lam, clamp))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return lam, log

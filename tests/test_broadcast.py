@@ -4,22 +4,19 @@ import pytest
 from bqmi import optim
 from bqmi.broadcast import (
     apply_local_channels,
-    broadcast_mi_symmetric,
     broadcast_mi_upper,
     definetti_upper,
     depolarizing_kraus,
     growth_curve,
-    twirl_copies,
 )
 from bqmi.optim import DimensionCapError, OptimizerConfig, dim_cap
-from bqmi.qcore import mutual_information, permute_factors, trace_distance
+from bqmi.qcore import mutual_information, trace_distance
 from bqmi.states import (
     StateSpec,
     bell_state,
     canonical_ensembles,
     cc_state,
     copy_marginal_mat,
-    definetti_broadcast,
     product_mix_state,
     random_density,
 )
@@ -36,19 +33,6 @@ def test_depolarizing_kraus_is_trace_preserving():
     out = apply_local_channels(rho, {"A": depolarizing_kraus(1.0),
                                      "B": depolarizing_kraus(1.0)})
     assert np.allclose(out.mat, np.eye(4) / 4, atol=1e-12)
-
-
-def test_twirl_copies_is_permutation_invariant_projection():
-    ens = canonical_ensembles(StateSpec("product-mix"))
-    joint = definetti_broadcast(ens, 2)
-    dims = joint.layout.dims
-    # de Finetti states are already symmetric under copy swap
-    assert np.abs(twirl_copies(joint.mat, dims, 2, 2) - joint.mat).max() < 1e-12
-    # a non-symmetric product gets averaged with its swap
-    asym = np.kron(bell_state().mat, product_mix_state().mat)
-    tw = twirl_copies(asym, dims, 2, 2)
-    swapped = permute_factors(asym, dims, (2, 3, 0, 1))
-    assert np.abs(tw - (asym + swapped) / 2).max() < 1e-12
 
 
 def test_broadcast_n1_returns_base_mi():
@@ -73,18 +57,6 @@ def test_broadcast_never_exceeds_factorized_warm_start():
     assert bv.value <= 2 * mutual_information(rho) + 1e-6
 
 
-def test_broadcast_symmetric_dominates_unrestricted():
-    rho = product_mix_state()
-    sym = broadcast_mi_symmetric(rho, 2, CFG)
-    joint = sym.diagnostics["broadcast_state"].joint
-    dims = joint.layout.dims
-    # the symmetric optimum is a feasible point of the unrestricted problem,
-    # so feeding it as a warm start caps the unrestricted estimate
-    un = broadcast_mi_upper(rho, 2, CFG, warm_starts=[joint.mat])
-    assert un.value <= sym.value + 1e-6
-    assert np.abs(twirl_copies(joint.mat, dims, 2, 2) - joint.mat).max() < 1e-8
-
-
 def test_descent_runs_in_the_targets_support(monkeypatch):
     # a rank-2 rho at n=2 has 2 x 2 feasible dimensions out of 16
     seen = []
@@ -99,17 +71,6 @@ def test_descent_runs_in_the_targets_support(monkeypatch):
     broadcast_mi_upper(random_density(4, 2, seed=1), 2, cfg)
     broadcast_mi_upper(random_density(4, 4, seed=1), 2, cfg)
     assert seen == [4, 16]
-
-
-def test_symmetric_joint_of_rank_deficient_state_is_exactly_invariant():
-    rho = random_density(4, 2, seed=7)
-    bv = broadcast_mi_symmetric(rho, 2, OptimizerConfig(restarts=2, max_iters=30))
-    joint = bv.diagnostics["broadcast_state"].joint
-    assert np.array_equal(permute_factors(joint.mat, joint.layout.dims, (2, 3, 0, 1)), joint.mat)
-    for k in (1, 2):
-        red = copy_marginal_mat(joint.mat, joint.layout, rho.layout, k)
-        assert np.linalg.norm(red - rho.mat) <= 1e-8
-    assert bv.value <= 2 * mutual_information(rho) + 1e-6
 
 
 def test_definetti_upper_never_exceeds_cap():

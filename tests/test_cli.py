@@ -8,7 +8,9 @@ import pytest
 
 import bqmi
 import bqmi.cli
+import bqmi.entms
 from bqmi.cli import main
+from bqmi.entms import ChainReport
 from bqmi.states import load_state
 
 
@@ -123,6 +125,31 @@ def test_chain_cc_consistent(tmp_path, capsys):
     assert doc["verdict"] == "consistent"
     assert set(doc["entries"]) >= {"2ecsq", "2esq", "2cemi", "eic",
                                    "ib_per_copy_n1", "ib_per_copy_n2"}
+
+
+def test_chain_solver_failure_exits_3(tmp_path, monkeypatch):
+    cc = tmp_path / "cc.json"
+    run(["state", "--family", "cc", "--out", str(cc)])
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("dykstra_project did not converge")
+
+    monkeypatch.setattr(bqmi.entms, "esq_upper", fail)
+    out = tmp_path / "chain.json"
+    assert run(["chain", "--in", str(cc), "--restarts", "1", "--max-iters", "5",
+                "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert "2esq" not in doc["entries"] and "2ecsq" in doc["entries"]
+    assert "esq failed: dykstra_project did not converge" in doc["notes"]
+
+
+def test_chain_note_mentioning_failed_is_not_a_failure(tmp_path, monkeypatch):
+    cc = tmp_path / "cc.json"
+    run(["state", "--family", "cc", "--out", str(cc)])
+    rep = ChainReport(state="cc", entries={}, verdict="consistent",
+                      notes=["an earlier run failed; this one did not"])
+    monkeypatch.setattr(bqmi.cli, "chain_report", lambda *args, **kwargs: rep)
+    assert run(["chain", "--in", str(cc), "--out", str(tmp_path / "chain.json")]) == 0
 
 
 def raise_linalg_error(*args, **kwargs):

@@ -18,6 +18,7 @@ from bqmi.qcore import (
     SubsystemLayout,
     ValidationError,
     bipartite_layout,
+    partial_trace_mat,
     permute_factors,
 )
 from bqmi.states import bell_state, cc_state, random_density
@@ -117,6 +118,24 @@ def _classical_mi_objective(rho, k=4):
         return val, np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)])
 
     return fun, pa.n_params + pb.n_params
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2)])
+def test_classical_mi_terms_match_per_effect_kron_loop(da, db):
+    # reference: Tr_B[(I x N_j) rho] and Tr_A[(M_i x I) rho] built effect by
+    # effect with np.kron, then the same I(p_ij) and effect gradients
+    rho = random_density(da * db, da * db, seed=4, dims=(da, db)).mat
+    rng = np.random.default_rng(1)
+    ea, _ = PovmParam(da, 3).effects(rng.standard_normal(PovmParam(da, 3).n_params))
+    eb, _ = PovmParam(db, 4).effects(rng.standard_normal(PovmParam(db, 4).n_params))
+    rt_b = np.array([partial_trace_mat(np.kron(np.eye(da), n) @ rho, (da, db), (0,)) for n in eb])
+    rt_a = np.array([partial_trace_mat(np.kron(m, np.eye(db)) @ rho, (da, db), (1,)) for m in ea])
+    p = np.clip(np.einsum("iab,jba->ij", ea, rt_b).real, 1e-15, None)
+    log_ratio = np.log2(p) - np.log2(p.sum(1))[:, None] - np.log2(p.sum(0))[None, :]
+    val, grad_a, grad_b = _classical_mi_and_grads(rho, ea, eb)
+    assert abs(val - (p * log_ratio).sum()) < 1e-12
+    assert np.abs(grad_a - np.einsum("ij,jab->iab", log_ratio, rt_b)).max() < 1e-12
+    assert np.abs(grad_b - np.einsum("ij,iab->jab", log_ratio, rt_a)).max() < 1e-12
 
 
 def test_classical_mi_max_uses_analytic_gradient():

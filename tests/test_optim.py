@@ -1,6 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import bqmi.entms
+from bqmi import optim
+from bqmi.broadcast import broadcast_mi_upper
+from bqmi.entms import ecsq_upper
 from bqmi.optim import (
     BoundedValue,
     DensityParam,
@@ -15,6 +21,7 @@ from bqmi.optim import (
     minimize_penalized,
 )
 from bqmi.qcore import partial_trace_mat, von_neumann_entropy
+from bqmi.states import random_density
 
 
 def random_herm(d, seed):
@@ -32,21 +39,29 @@ def test_bounded_value_direction_contract():
     assert "obj" not in d["diagnostics"]  # non-serializable entries dropped
 
 
-def test_penalized_quadratic_matches_lagrangian_oracle():
-    # min x'Qx subject to (a'x - 1)^2 penalty; the exact penalized optimum
-    # solves (Q + w a a') x = w a, per penalty weight w.
+def quadratic_problem():
+    """x'Qx and the penalty (a'x - 1)^2 in the stacked form minimize_penalized
+    evaluates: x is (m, 5), values (m,), gradients (m, 5), each row computed
+    from its own point alone."""
     rng = np.random.default_rng(0)
     q = rng.standard_normal((5, 5))
     q = q @ q.T + np.eye(5)
     a = rng.standard_normal(5)
 
     def objective(x):
-        return float(x @ q @ x), 2 * q @ x
+        return np.array([z @ q @ z for z in x]), np.array([2 * q @ z for z in x])
 
     def constraint(x):
-        r = a @ x - 1.0
-        return float(r * r), 2 * r * a
+        r = np.array([a @ z - 1.0 for z in x])
+        return r * r, 2 * r[:, None] * a
 
+    return q, a, objective, constraint
+
+
+def test_penalized_quadratic_matches_lagrangian_oracle():
+    # min x'Qx subject to (a'x - 1)^2 penalty; the exact penalized optimum
+    # solves (Q + w a a') x = w a, per penalty weight w.
+    q, a, objective, constraint = quadratic_problem()
     cfg = OptimizerConfig(restarts=2, max_iters=2000, penalty_schedule=(10.0, 1000.0))
     res = minimize_penalized(objective, [("lin", constraint)], 5, cfg)
     w = cfg.penalty_schedule[-1]
@@ -54,7 +69,7 @@ def test_penalized_quadratic_matches_lagrangian_oracle():
     assert np.linalg.norm(res.argmin - x_star) < 5e-3
 
     def penalized(x):
-        return objective(x)[0] + w * constraint(x)[0]
+        return objective(x[None])[0][0] + w * constraint(x[None])[0][0]
 
     # the objective gap to the oracle optimum is quadratic in the distance
     assert penalized(res.argmin) - penalized(x_star) < 1e-4
@@ -63,7 +78,7 @@ def test_penalized_quadratic_matches_lagrangian_oracle():
 
 def test_minimize_penalized_deterministic():
     def objective(x):
-        return float((x ** 2).sum()), 2 * x
+        return (x ** 2).sum(-1), 2 * x
 
     cfg = OptimizerConfig(restarts=3, max_iters=50)
     a = minimize_penalized(objective, [], 4, cfg)
@@ -73,13 +88,13 @@ def test_minimize_penalized_deterministic():
 
 
 def test_minimize_penalized_drops_restart_whose_eigensolver_fails():
-    calls = []
+    start_0 = np.random.default_rng(0).standard_normal(4)  # restart 0's start
 
     def objective(x):
-        calls.append(1)
-        if len(calls) == 1:  # the first evaluation of restart 0
+        # fails only on the row that holds restart 0's point
+        if any(np.array_equal(row, start_0) for row in x):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return float((x ** 2).sum()), 2 * x
+        return (x ** 2).sum(-1), 2 * x
 
     res = minimize_penalized(objective, [], 4, OptimizerConfig(restarts=2, max_iters=50))
     assert res.restart_index == 1
@@ -90,6 +105,59 @@ def test_minimize_penalized_drops_restart_whose_eigensolver_fails():
 
     with pytest.raises(FloatingPointError, match="all restarts aborted"):
         minimize_penalized(broken, [], 4, OptimizerConfig(restarts=2, max_iters=50))
+
+
+def assert_same_run(together, alone):
+    assert np.array_equal(together.argmin, alone.argmin)
+    assert together.value == alone.value
+    assert together.iterations_used == alone.iterations_used
+    assert together.residuals == alone.residuals
+
+
+def run_alone(objective, constraints, param_dim, cfg, inits, winner):
+    """The winning restart of a lockstep run, run again by itself."""
+    inits = list(inits or [])
+    if winner < len(inits):
+        start = inits[winner]
+    else:
+        start = np.random.default_rng(cfg.master_seed + winner).standard_normal(param_dim)
+    return minimize_penalized(objective, constraints, param_dim,
+                              dataclasses.replace(cfg, restarts=1), inits=[start])
+
+
+def test_lockstep_restart_matches_the_same_start_run_alone():
+    _, _, objective, constraint = quadratic_problem()
+    cfg = OptimizerConfig(restarts=4, max_iters=60, penalty_schedule=(10.0, 1000.0))
+    for inits in ([], [np.full(5, 0.3)]):
+        together = minimize_penalized(objective, [("lin", constraint)], 5, cfg, inits=inits)
+        alone = run_alone(objective, [("lin", constraint)], 5, cfg, inits,
+                          together.restart_index)
+        assert_same_run(together, alone)
+
+
+@pytest.mark.parametrize("solve", ["broadcast_n2", "ecsq"])
+def test_lockstep_solver_restart_matches_the_same_start_run_alone(monkeypatch, solve):
+    # Capture the stacked objective a solver hands to minimize_penalized,
+    # then compare its winning restart with that start run by itself.
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return minimize_penalized(*args, **kw)
+
+    cfg = OptimizerConfig(restarts=3, max_iters=30)
+    rho = random_density(4, 4, seed=3)
+    if solve == "broadcast_n2":
+        monkeypatch.setattr(optim, "minimize_penalized", spy)
+        broadcast_mi_upper(rho, 2, cfg)
+    else:
+        monkeypatch.setattr(bqmi.entms, "minimize_penalized", spy)
+        ecsq_upper(rho, None, cfg)
+    (objective, constraints, param_dim, cfg_used), kw = calls[0]
+    together = minimize_penalized(objective, constraints, param_dim, cfg_used, **kw)
+    alone = run_alone(objective, constraints, param_dim, cfg_used, kw.get("inits"),
+                      together.restart_index)
+    assert_same_run(together, alone)
 
 
 def test_finite_diff_check_flags_wrong_gradient():

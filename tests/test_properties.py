@@ -1,13 +1,23 @@
-"""Property-based tests (hypothesis) of the qcore tensor helpers and of the
-shared constrained-state solver, on small random layouts and states."""
+"""Property-based tests (hypothesis) of the qcore tensor helpers, of the
+stacked kernels the solvers evaluate their restarts with, and of the shared
+constrained-state solver, on small random layouts and states."""
 
 import functools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqmi.optim import OptimizerConfig, entropy_combo, solve_marginal_problem
+from bqmi.entms import _ensemble_objective_terms
+from bqmi.measures import PovmParam, _classical_mi_and_grads
+from bqmi.optim import (
+    DensityParam,
+    MarginalSet,
+    OptimizerConfig,
+    entropy_combo,
+    solve_marginal_problem,
+)
 from bqmi.qcore import expand_mat, partial_trace_mat, permute_factors
 from bqmi.states import random_density
 
@@ -53,6 +63,74 @@ def test_partial_trace_and_expand_are_adjoint(layout, batch):
     for k in np.ndindex(batch):
         assert np.allclose(traced[k], partial_trace_mat(ys[k], dims, keep), atol=1e-12)
         assert np.array_equal(expanded[k], expand_mat(xs[k], dims, keep))
+
+
+def assert_slices_match(stacked, single, batch):
+    """Slice k of every output of a stacked call equals, bit for bit, the
+    output of single(k), the call on slice k of the inputs."""
+    for k in np.ndindex(batch):
+        for got, want in zip(stacked, single(k)):
+            assert np.array_equal(np.asarray(got)[k], want)
+
+
+BATCHES = st.sampled_from([(1,), (3,), (2, 2)])
+
+
+@FAST
+@given(layouts(), BATCHES)
+def test_stacked_state_kernels_match_single_calls(layout, batch):
+    dims, keep, seed = layout
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    par = DensityParam(d)
+    xs = rng.standard_normal(batch + (par.n_params,))
+    sig, cache = par.sigma(xs)
+    assert_slices_match([sig], lambda k: [par.sigma(xs[k])[0]], batch)
+    fs = random_stack(batch, d, rng)
+    assert_slices_match([par.grad_x(fs, sig, cache)],
+                        lambda k: [par.grad_x(fs[k], *par.sigma(xs[k]))], batch)
+
+    terms = [(1.0, keep), (-0.5, None)]
+    assert_slices_match(entropy_combo(sig, dims, terms),
+                        lambda k: entropy_combo(sig[k], dims, terms), batch)
+    # a state on a subspace of one dimension less, embedded by an isometry w
+    dc = max(1, d - 1)
+    w, _ = np.linalg.qr(rng.standard_normal((d, dc)) + 1j * rng.standard_normal((d, dc)))
+    sig_c, _ = DensityParam(dc).sigma(rng.standard_normal(batch + (2 * dc * dc,)))
+    assert_slices_match(entropy_combo(sig_c, dims, terms, w),
+                        lambda k: entropy_combo(sig_c[k], dims, terms, w), batch)
+
+    target = partial_trace_mat(random_density(d, d, seed=seed % 1000).mat, dims, keep)
+    mset = MarginalSet(dims, keep, target)
+    assert_slices_match(mset.penalty(sig), lambda k: mset.penalty(sig[k]), batch)
+
+
+@FAST
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4), BATCHES,
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_measurement_kernels_match_single_calls(da, db, k_out, batch, seed):
+    rng = np.random.default_rng(seed)
+    pa, pb = PovmParam(da, k_out), PovmParam(db, k_out)
+    xa = rng.standard_normal(batch + (pa.n_params,))
+    xb = rng.standard_normal(batch + (pb.n_params,))
+    ea, ca = pa.effects(xa)
+    eb, _ = pb.effects(xb)
+    assert_slices_match([ea], lambda k: [pa.effects(xa[k])[0]], batch)
+    fa = random_stack(batch + (k_out,), da, rng)
+    assert_slices_match([pa.grad_x(fa, ca)],
+                        lambda k: [pa.grad_x(fa[k], pa.effects(xa[k])[1])], batch)
+
+    rho = random_density(da * db, da * db, seed=seed % 1000, dims=(da, db)).mat
+    assert_slices_match(_classical_mi_and_grads(rho, ea, eb),
+                        lambda k: _classical_mi_and_grads(rho, ea[k], eb[k]), batch)
+
+    # ensembles of rank-2 members plus one member of zero weight
+    g = random_stack(batch + (k_out,), da * db, rng)[..., :2, :]
+    r_k = g.conj().swapaxes(-1, -2) @ g
+    r_k[..., -1, :, :] = 0.0
+    assert_slices_match(_ensemble_objective_terms(r_k, (da, db), (0,), (1,)),
+                        lambda k: _ensemble_objective_terms(r_k[k], (da, db), (0,), (1,)),
+                        batch)
 
 
 @FAST
