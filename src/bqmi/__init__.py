@@ -7,10 +7,7 @@ from .qcore import (
     ValidationError,
     binary_entropy,
     bipartite_layout,
-    kl_divergence,
     mutual_information,
-    partial_trace,
-    partial_transpose,
     shannon_entropy,
     tensor,
     trace_distance,
@@ -27,7 +24,6 @@ from .states import (
     load_state,
     make_state,
     product_mix_state,
-    purify,
     random_density,
     save_state,
     spectral_ensemble,
@@ -58,7 +54,6 @@ from .broadcast import (
 )
 from .entms import (
     ChainReport,
-    ExtensionSpec,
     cemi_upper,
     chain_report,
     ecsq_upper,

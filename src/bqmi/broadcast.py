@@ -49,7 +49,7 @@ class BroadcastState:
 class GrowthCurve:
     per_n: list  # (n, upper BoundedValue, lower BoundedValue)
     classification: str
-    certificate: float | None = None
+    certificate: float
 
     def to_csv(self, path):
         with open(path, "w") as f:
@@ -81,8 +81,7 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
             # A generator, so that no n-copy matrix is built before the
             # solver has checked the dimension cap.
             yield definetti_broadcast(spectral_ensemble(rho), n).mat
-            for ws in warm_starts or ():
-                yield ws.joint if isinstance(ws, BroadcastState) else ws
+            yield from warm_starts or ()
 
         terms = [(1.0, layout.indices(layout.side_labels("A"))),
                  (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
@@ -122,32 +121,32 @@ def definetti_upper(rho: DensityOperator, ens: Ensemble, n: int):
 # certificate above CERT_TOL certifies linear growth.
 FLAT_TOL = 5e-3
 CERT_TOL = 1e-4
+# property_checks: the strength of the depolarizing channel applied to every
+# factor (monotonicity) and the weights of the mixture (convexity bound).
+DEPOLARIZING_Q = 0.3
+MIX_WEIGHTS = (0.5, 0.5)
 
 
 def growth_curve(rho: DensityOperator, n_max: int, cfg: OptimizerConfig,
-                 certificate=None, ensemble=None) -> GrowthCurve:
+                 ensemble=None) -> GrowthCurve:
     """Estimate (I_b)_n for n = 1..n_max and classify the growth behavior.
 
     Upper estimates are warm-started across n by tensoring the previous
     optimal joint with rho.  Lower values are max(I(rho), n * certificate)
-    where the certificate is the measured-correlation lower bound (computed
-    with default IC POVMs unless supplied).  ensemble, when given, adds de
-    Finetti warm starts and sets the boundedness cap; otherwise a cap is
-    obtained from the ensemble optimizer.
+    where the certificate is the measured-correlation lower bound with
+    default IC POVMs.  ensemble, when given, adds de Finetti warm starts and
+    sets the boundedness cap; otherwise a cap is obtained from the ensemble
+    optimizer.
     """
+    from .entms import ecsq_upper, eic_lower
+    from .measures import default_ic_povm
+
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
     base_mi = mutual_information(rho)
-    if certificate is None:
-        from .entms import eic_lower
-        from .measures import default_ic_povm
-        da = int(np.prod([d for lab, d in rho.layout.factors
-                          if rho.layout.sides[lab] == "A"]))
-        db = rho.layout.dim // da
-        cert_bv = eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg)
-        certificate = cert_bv.value
+    da, db = rho.layout.side_dims()
+    certificate = eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg).value
     if ensemble is None:
-        from .entms import ecsq_upper
         ecsq = ecsq_upper(rho, None, cfg)
         ensemble = ecsq.diagnostics.get("ensemble")
 
@@ -218,19 +217,17 @@ def apply_local_channels(rho: DensityOperator, kraus_by_label) -> DensityOperato
 
 
 def property_checks(rho: DensityOperator, sigma: DensityOperator,
-                    channels=None, cfg: OptimizerConfig = None, n=2,
-                    weights=(0.5, 0.5), tol=1e-3) -> dict:
+                    cfg: OptimizerConfig, n=2, tol=1e-3) -> dict:
     """Warm-start verification of the structural inequalities of the
-    broadcast-MI estimate: monotonicity under local channels, the
-    convexity-style mixing bound, and subadditivity.
+    broadcast-MI estimate: monotonicity under a depolarizing channel
+    (strength DEPOLARIZING_Q) on every factor, the convexity-style bound
+    on the MIX_WEIGHTS mixture of rho and sigma, and subadditivity.
 
     Each check re-runs the estimator on the transformed state with the
     transformed optimal joint as a warm start and asserts the resulting
     inequality between estimates.
     """
-    cfg = cfg or OptimizerConfig()
-    if channels is None:
-        channels = {lab: depolarizing_kraus(0.3) for lab, _ in rho.layout.factors}
+    channels = {lab: depolarizing_kraus(DEPOLARIZING_Q) for lab, _ in rho.layout.factors}
     report = {}
 
     est_rho = broadcast_mi_upper(rho, n, cfg)
@@ -252,7 +249,7 @@ def property_checks(rho: DensityOperator, sigma: DensityOperator,
     }
 
     # Convexity-style bound with Shannon-entropy slack.
-    w0, w1 = weights
+    w0, w1 = MIX_WEIGHTS
     mix = DensityOperator(rho.layout, w0 * rho.mat + w1 * sigma.mat)
     warm_mix = w0 * joint_rho.mat + w1 * joint_sig.mat
     est_mix = broadcast_mi_upper(mix, n, cfg, warm_starts=[warm_mix])

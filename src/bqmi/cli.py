@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .broadcast import growth_curve, property_checks
-from .entms import ExtensionSpec, cemi_upper, chain_report, ecsq_upper, eic_lower, esq_upper
+from .entms import cemi_upper, chain_report, ecsq_upper, eic_lower, esq_upper
 from .measures import classical_mi_max, default_ic_povm
 from .optim import BoundedValue, DimensionCapError, OptimizerConfig, dim_cap
 from .qcore import ValidationError, mutual_information
@@ -121,15 +121,12 @@ def cmd_measure(args):
         elif args.measure == "ecsq":
             result = ecsq_upper(rho, args.members, cfg)
         elif args.measure == "esq":
-            result = esq_upper(rho, ExtensionSpec("squashed", {"E": args.dim_e}), cfg)
+            result = esq_upper(rho, args.dim_e, cfg)
         elif args.measure == "cemi":
-            result = cemi_upper(
-                rho, ExtensionSpec("cemi", {"A'": args.dim_ext, "B'": args.dim_ext}), cfg)
+            result = cemi_upper(rho, args.dim_ext, cfg)
         else:  # eiclower
-            da = int(np.prod([d for lab, d in rho.layout.factors
-                              if rho.layout.sides[lab] == "A"]))
-            result = eic_lower(rho, default_ic_povm(da),
-                               default_ic_povm(rho.dim // da), cfg)
+            da, db = rho.layout.side_dims()
+            result = eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg)
         doc = {"measure": args.measure, "state": getattr(args, "in"),
                "result": result.to_dict(), "manifest": _manifest(args, cfg)}
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:

@@ -29,7 +29,10 @@ from .optim import (
     dim_cap,
     dykstra_project,
     minimize_penalized,
+    pack_complex,
+    psd_factor,
     solve_marginal_problem,
+    unpack_complex,
 )
 from .qcore import (
     LOG2E,
@@ -50,21 +53,8 @@ from .states import Ensemble
 # bug and propagates.  LinAlgError is an eigensolver that did not converge.
 SOLVER_FAILURES = (RuntimeError, FloatingPointError, DimensionCapError,
                    np.linalg.LinAlgError)
-
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """Dimensions of the variational extension register(s)."""
-
-    kind: str  # "squashed" or "cemi"
-    dims: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("squashed", "cemi"):
-            raise ValidationError(f"unknown extension kind {self.kind!r}")
-        for k, v in self.dims.items():
-            if v < 1:
-                raise ValidationError(f"extension dim {k}={v} must be >= 1")
+# Projected-gradient steps of eic_lower.
+EIC_MAX_ITERS = 2000
 
 
 @dataclass
@@ -114,10 +104,11 @@ def _ensemble_objective_terms(r_k, dims, a_idx, b_idx):
     return val, np.where(live[..., None, None], grads, 0.0)
 
 
-def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
-               warm_ensembles=None) -> BoundedValue:
+def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> BoundedValue:
     """Upper bound on classical squashed entanglement, equal to half the
     minimal average member MI over ensembles realizing rho.
+
+    n_members is the ensemble size K; None selects rank(rho)².
 
     Ensembles are parameterized by a POVM on the purifying system (every
     ensemble of rho arises this way); completeness is handled by a penalty
@@ -129,61 +120,50 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     lam, v = lam[keep], v[:, keep]
     r = lam.size
     w = v * np.sqrt(lam)  # d x r; rho = w w†
-    k = int(n_members) if n_members else r * r
+    k = int(n_members) if n_members is not None else r * r
     if k < r:
         raise ValidationError(f"ensemble size {k} below rank {r}")
     dims = rho.layout.dims
     a_idx = rho.layout.indices(rho.layout.side_labels("A"))
     b_idx = rho.layout.indices(rho.layout.side_labels("B"))
 
+    shape = (k, r, r)
     n_par = 2 * k * r * r
 
     # The objective and the completeness penalty take a stack of parameter
     # vectors (..., n_par), as minimize_penalized evaluates its restarts.
-    def unpack(x):
-        g = x[..., :k * r * r] + 1j * x[..., k * r * r:]
-        return g.reshape(x.shape[:-1] + (k, r, r))
-
-    def pack(g):
-        flat = g.shape[:-3] + (-1,)
-        return np.concatenate([g.real.reshape(flat), g.imag.reshape(flat)], axis=-1)
-
     def members(g):
         return g.conj().swapaxes(-1, -2) @ g  # M_k = G_k† G_k
 
     def objective(x):
-        g = unpack(x)
+        g = unpack_complex(x, shape)
         r_k = w @ members(g) @ w.conj().T
         val, grads_r = _ensemble_objective_terms(r_k, dims, a_idx, b_idx)
         gm = w.conj().T @ grads_r @ w
         grad_g = 2.0 * g @ ((gm + gm.conj().swapaxes(-1, -2)) / 2)
-        return 0.5 * val, 0.5 * pack(grad_g)
+        return 0.5 * val, 0.5 * pack_complex(grad_g, shape)
 
     def completeness(x):
-        g = unpack(x)
+        g = unpack_complex(x, shape)
         dev = members(g).sum(-3) - np.eye(r)
         sq = (dev.real ** 2 + dev.imag ** 2).sum((-2, -1))
-        return sq, pack(4.0 * g @ dev[..., None, :, :])
+        return sq, pack_complex(4.0 * g @ dev[..., None, :, :], shape)
 
     def init_from_povm_mats(mats):
-        g = np.zeros((k, r, r), dtype=complex)
+        g = np.zeros(shape, dtype=complex)
         for i, m in enumerate(mats[:k]):
-            lm, vm = np.linalg.eigh(m)
-            g[i] = (vm * np.sqrt(np.clip(lm, 0, None))).conj().T
-        return pack(g)
+            g[i] = psd_factor(m).conj().T
+        return pack_complex(g, shape)
 
     inits = [
         init_from_povm_mats([np.eye(r)]),  # trivial ensemble {rho}
         init_from_povm_mats([np.outer(np.eye(r)[i], np.eye(r)[i]) for i in range(r)]),
     ]
-    if warm_ensembles:
-        for ens in warm_ensembles:
-            inits.append(_povm_init_from_ensemble(ens, rho, w, k, pack))
 
     opt = minimize_penalized(objective, [("completeness", completeness)],
                              n_par, cfg, inits=inits)
     # Exactify completeness, then evaluate the ensemble value exactly.
-    ms = members(unpack(opt.argmin))
+    ms = members(unpack_complex(opt.argmin, shape))
     s = ms.sum(0) + 1e-15 * np.eye(r)
     ls, us = np.linalg.eigh(s)
     inv_sqrt = (us * np.clip(ls, 1e-15, None) ** -0.5) @ us.conj().T
@@ -210,22 +190,6 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig,
     )
     bv.diagnostics["ensemble"] = ens
     return bv
-
-
-def _povm_init_from_ensemble(ens: Ensemble, rho, w, k, pack):
-    """POVM parameters whose induced ensemble approximates the given one.
-
-    Uses M_k = w^+ (p_k rho_k) (w^+)†, the least-squares preimage of each
-    unnormalized member under conjugation by w."""
-    w_pinv = np.linalg.pinv(w)
-    r = w.shape[1]
-    g = np.zeros((k, r, r), dtype=complex)
-    for i, (p, m) in enumerate(ens.members[:k]):
-        mk = w_pinv @ (p * m.mat) @ w_pinv.conj().T
-        mk = (mk + mk.conj().T) / 2
-        lm, vm = np.linalg.eigh(mk)
-        g[i] = (vm * np.sqrt(np.clip(lm, 0, None))).conj().T
-    return pack(g)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +222,10 @@ def _solve_extension(rho, layout, terms, cfg, warm_starts, method):
     return bv
 
 
-def esq_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
+def esq_upper(rho: DensityOperator, dim_e, cfg: OptimizerConfig,
               warm_starts=None) -> BoundedValue:
-    """Upper bound on squashed entanglement with a dim-E extension:
+    """Upper bound on squashed entanglement with a dim_e extension E:
     half of I(A:BE) - I(A:E) minimized over states extending rho."""
-    if spec.kind != "squashed":
-        raise ValidationError("esq_upper needs an ExtensionSpec of kind 'squashed'")
-    dim_e = spec.dims.get("E", rho.dim)
     layout = _extension_layout(rho, (("E", dim_e),))
     a = layout.indices(rho.layout.side_labels("A"))
     e = layout.indices(("E",))
@@ -276,15 +237,12 @@ def esq_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
                             method=f"extension-gd(dimE={dim_e})")
 
 
-def cemi_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
+def cemi_upper(rho: DensityOperator, dim_ext, cfg: OptimizerConfig,
                warm_starts=None) -> BoundedValue:
     """Upper bound on the conditional entanglement of mutual information:
-    half of I(AA':BB') - I(A':B') minimized over extensions of rho."""
-    if spec.kind != "cemi":
-        raise ValidationError("cemi_upper needs an ExtensionSpec of kind 'cemi'")
-    da = spec.dims.get("A'", 2)
-    db = spec.dims.get("B'", 2)
-    layout = _extension_layout(rho, (("A'", da), ("B'", db)))
+    half of I(AA':BB') - I(A':B') minimized over extensions of rho by
+    registers A' and B' of dimension dim_ext each."""
+    layout = _extension_layout(rho, (("A'", dim_ext), ("B'", dim_ext)))
     ap = layout.indices(("A'",))
     bp = layout.indices(("B'",))
     aap = tuple(sorted(layout.indices(rho.layout.side_labels("A")) + ap))
@@ -295,7 +253,7 @@ def cemi_upper(rho: DensityOperator, spec: ExtensionSpec, cfg: OptimizerConfig,
     terms = [(0.5, aap), (0.5, bbp), (-0.5, None),
              (-0.5, ap), (-0.5, bp), (0.5, apbp)]
     return _solve_extension(rho, layout, terms, cfg, warm_starts,
-                            method=f"cemi-extension-gd(dims=({da},{db}))")
+                            method=f"cemi-extension-gd(dims=({dim_ext},{dim_ext}))")
 
 
 def classical_flag_extension(ens: Ensemble, kind="squashed",
@@ -336,7 +294,7 @@ def classical_flag_extension(ens: Ensemble, kind="squashed",
 
 
 def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
-              cfg: OptimizerConfig, max_iters=2000) -> BoundedValue:
+              cfg: OptimizerConfig) -> BoundedValue:
     """Lower bound on the measured-correlation increase E_IC (and hence on
     the per-copy broadcast MI limit).
 
@@ -345,6 +303,9 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     contains the separable set, so the minimum under-shoots the separable
     one; the reported value additionally subtracts a 10x gradient-mapping
     safety margin (floored at 0).
+
+    The descent takes at most EIC_MAX_ITERS steps whatever cfg says: cfg is
+    accepted for a signature like the other solvers' but not read.
     """
     ic = m.gram_rank() == m.dim ** 2 and n.gram_rank() == n.dim ** 2
     if not ic:
@@ -372,7 +333,7 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     t = 1.0
     gmap = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, EIC_MAX_ITERS + 1):
         accepted = False
         for _ in range(40):
             cand = dykstra_project(sigma - t * grad, sets, tol=1e-11)
@@ -418,9 +379,14 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     and check every verifiable cross-direction pair.  Solver failures
     (SOLVER_FAILURES) become notes and missing entries, and the report's
     failures map each missing entry's name to its message; other errors
-    raise."""
+    raise.  ns, the copy counts of the broadcast entries, must be nonempty
+    and positive."""
     from .broadcast import broadcast_mi_upper
     from .states import definetti_broadcast
+
+    ns = tuple(ns)
+    if not ns or min(ns) < 1:
+        raise ValidationError(f"copy counts must be nonempty and >= 1, got {ns}")
 
     entries = {}
     notes = []
@@ -452,13 +418,11 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         else:
             dim_p = 2
 
-    da = int(np.prod([d for lab, d in rho.layout.factors if rho.layout.sides[lab] == "A"]))
+    da, db = rho.layout.side_dims()
     tasks = {
-        "esq": lambda: esq_upper(rho, ExtensionSpec("squashed", {"E": dim_e}), cfg,
-                                 warm_starts=esq_warm),
-        "cemi": lambda: cemi_upper(rho, ExtensionSpec("cemi", {"A'": dim_p, "B'": dim_p}),
-                                   cfg, warm_starts=cemi_warm),
-        "eic": lambda: eic_lower(rho, default_ic_povm(da), default_ic_povm(rho.dim // da), cfg),
+        "esq": lambda: esq_upper(rho, dim_e, cfg, warm_starts=esq_warm),
+        "cemi": lambda: cemi_upper(rho, dim_p, cfg, warm_starts=cemi_warm),
+        "eic": lambda: eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg),
     }
     for k, f in tasks.items():
         try:

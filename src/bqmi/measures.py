@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import BoundedValue, OptimizerConfig, minimize_penalized
+from .optim import (
+    BoundedValue,
+    OptimizerConfig,
+    minimize_penalized,
+    pack_complex,
+    psd_factor,
+    unpack_complex,
+)
 from .qcore import (
     DensityOperator,
     ValidationError,
@@ -19,6 +26,8 @@ from .qcore import (
 
 EFFECT_PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
+# PovmParam adds POVM_REG * I to S and floors S's eigenvalues there.
+POVM_REG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,33 +152,24 @@ def default_ic_povm(dim: int) -> Povm:
 class PovmParam:
     """Unconstrained POVM parameterization E_i = S^{-1/2} G_i† G_i S^{-1/2}.
 
-    S = sum_i G_i† G_i (+ small regularizer), so the effects are PSD and
+    S = sum_i G_i† G_i (+ POVM_REG I), so the effects are PSD and
     complete by construction.  The exact gradient chain through S^{-1/2}
     uses the Sylvester-kernel trick in the eigenbasis of S^{1/2}.  effects
     and grad_x also take a stack of vectors (..., n_params).
     """
 
-    def __init__(self, dim, n_outcomes, reg=1e-12):
+    def __init__(self, dim, n_outcomes):
         self.dim = int(dim)
         self.k = int(n_outcomes)
-        self.reg = float(reg)
+        self.shape = (self.k, self.dim, self.dim)
         self.n_params = 2 * self.k * self.dim * self.dim
 
-    def unpack(self, x):
-        n = self.k * self.dim * self.dim
-        g = x[..., :n] + 1j * x[..., n:]
-        return g.reshape(x.shape[:-1] + (self.k, self.dim, self.dim))
-
-    def pack(self, g):
-        flat = g.shape[:-3] + (-1,)
-        return np.concatenate([g.real.reshape(flat), g.imag.reshape(flat)], axis=-1)
-
     def effects(self, x):
-        g = self.unpack(x)
+        g = unpack_complex(x, self.shape)
         ks = g.conj().swapaxes(-1, -2) @ g  # K_i = G_i† G_i
-        s = ks.sum(-3) + self.reg * np.eye(self.dim)
+        s = ks.sum(-3) + POVM_REG * np.eye(self.dim)
         lam, u = np.linalg.eigh(s)
-        lam = np.clip(lam, self.reg, None)
+        lam = np.clip(lam, POVM_REG, None)
         a = (u * lam[..., None, :] ** -0.5) @ u.conj().swapaxes(-1, -2)  # S^{-1/2}
         effs = a[..., None, :, :] @ ks @ a[..., None, :, :]
         cache = (g, ks, a, np.sqrt(lam), u)
@@ -190,19 +190,20 @@ class PovmParam:
         # Coefficient of dK_i: C_i = A F_i A + Z.
         c = ak @ f_effs @ ak + z[..., None, :, :]
         c = (c + c.conj().swapaxes(-1, -2)) / 2
-        return self.pack(2.0 * g @ c)
+        return pack_complex(2.0 * g @ c, self.shape)
 
     def init_from_povm(self, povm: Povm):
-        gs = []
-        for e in povm.effects:
-            lam, v = np.linalg.eigh(e)
-            lam = np.clip(lam, 0.0, None)
-            gs.append((v * np.sqrt(lam)).conj().T)
-        g = np.array(gs)
+        """x whose effects are povm's.  A POVM with more than k effects has
+        its surplus folded into the k-th, so that they still sum to I; one
+        with fewer is padded with near-zero effects."""
+        effs = list(povm.effects)
+        if len(effs) > self.k:
+            effs[self.k - 1:] = [sum(effs[self.k - 1:])]
+        g = np.array([psd_factor(e).conj().T for e in effs])
         if g.shape[0] < self.k:
             g = np.concatenate([g, 1e-6 * np.ones((self.k - g.shape[0],
                                                    self.dim, self.dim))])
-        return self.pack(g[:self.k])
+        return pack_complex(g, self.shape)
 
 
 def _classical_mi_and_grads(rho_ab, effs_a, effs_b):
@@ -229,7 +230,7 @@ def _classical_mi_and_grads(rho_ab, effs_a, effs_b):
 
 
 def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
-                     cfg: OptimizerConfig, warm_povms=None) -> BoundedValue:
+                     cfg: OptimizerConfig) -> BoundedValue:
     """Lower bound on the measured (classical) mutual information I_C.
 
     Maximizes I(p_ij) over local POVMs by multi-start gradient ascent on the
@@ -252,14 +253,9 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
         grad = np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)], axis=-1)
         return -val, -grad
 
-    inits = []
-    if warm_povms:
-        for wa, wb in warm_povms:
-            inits.append(np.concatenate([pa.init_from_povm(wa), pb.init_from_povm(wb)]))
-    inits.append(np.concatenate([pa.init_from_povm(default_ic_povm(da)),
-                                 pb.init_from_povm(default_ic_povm(db))]))
-
-    opt = minimize_penalized(neg_fun, [], pa.n_params + pb.n_params, cfg, inits=inits)
+    init = np.concatenate([pa.init_from_povm(default_ic_povm(da)),
+                           pb.init_from_povm(default_ic_povm(db))])
+    opt = minimize_penalized(neg_fun, [], pa.n_params + pb.n_params, cfg, inits=[init])
     value = -opt.value
     mi_q = mutual_information(rho)
     diag = opt.summary()

@@ -27,6 +27,16 @@ DEFAULT_DIM_CAP = 256
 # Eigenvalues of a fixed marginal above this span the support that
 # solve_marginal_problem projects in.
 SUPPORT_CUTOFF = 1e-9
+# minimize_penalized: the first step length of each descent, the penalty
+# weights each restart is taken through in turn, and the relative decrease
+# below which a descent stops.
+STEP_INIT = 0.5
+PENALTY_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
+TOL_OBJECTIVE = 1e-9
+# Largest Frobenius marginal deviation of a joint solve_marginal_problem returns.
+TOL_RESIDUAL = 1e-8
+# DensityParam adds DENSITY_EPS * I to G G† before normalizing.
+DENSITY_EPS = 1e-9
 
 
 def dim_cap():
@@ -44,18 +54,10 @@ class OptimizerConfig:
     max_iters: int = 300
     restarts: int = 8
     master_seed: int = 0
-    step_init: float = 0.5
-    penalty_schedule: tuple = (10.0, 100.0, 1000.0, 10000.0)
-    tol_objective: float = 1e-9
-    tol_residual: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.restarts <= 0 or self.step_init <= 0:
-            raise ValueError("max_iters, restarts, step_init must be positive")
-        sched = tuple(self.penalty_schedule)
-        if any(w <= 0 for w in sched) or list(sched) != sorted(sched):
-            raise ValueError("penalty_schedule must be positive and non-decreasing")
-        object.__setattr__(self, "penalty_schedule", sched)
+        if self.max_iters <= 0 or self.restarts <= 0:
+            raise ValueError("max_iters and restarts must be positive")
 
 
 @dataclass
@@ -115,7 +117,7 @@ class BoundedValue:
         }
 
 
-def _descend(x, max_iters, step_init, tol_objective):
+def _descend(x, max_iters):
     """Backtracking gradient descent from x, written as a generator: it
     yields each point it wants evaluated and is sent that point's (f, grad).
     Returns (x, f, iterations, converged); the accepted-objective trace is
@@ -123,7 +125,7 @@ def _descend(x, max_iters, step_init, tol_objective):
     f, g = yield x
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at start")
-    t = step_init
+    t = STEP_INIT
     it = 0
     for it in range(1, max_iters + 1):
         gnorm2 = float(g @ g)
@@ -144,7 +146,7 @@ def _descend(x, max_iters, step_init, tol_objective):
         df = f - fn
         x, f, g = xn, fn, gn
         t *= 1.3
-        if df < tol_objective * max(1.0, abs(f)):
+        if df < TOL_OBJECTIVE * max(1.0, abs(f)):
             return x, f, it, True
     return x, f, it, False
 
@@ -156,8 +158,8 @@ def _restart(x, cfg):
     and weighs them itself.  Returns (penalized value, x, objective value,
     constraint values, converged, iterations)."""
     total, converged, f_pen = 0, True, np.inf
-    for w in cfg.penalty_schedule:
-        stage = _descend(x, cfg.max_iters, cfg.step_init, cfg.tol_objective)
+    for w in PENALTY_SCHEDULE:
+        stage = _descend(x, cfg.max_iters)
         point = next(stage)
         while True:
             f, g, cons = yield point
@@ -198,7 +200,7 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     objective and each fn of constraints, a list of (name, fn), take a stack
     of points x of shape (m, param_dim) and return (values, grads) of shapes
     (m,) and (m, param_dim), row k belonging to point k alone.  A constraint
-    is added as w * value with w ramped over cfg.penalty_schedule, each
+    is added as w * value with w ramped over PENALTY_SCHEDULE, each
     restart through its own stages.  Every round, the points that all live
     restarts ask for are evaluated as one stack, so each restart follows the
     trajectory it would follow alone.  inits seeds the first restarts; the
@@ -378,34 +380,46 @@ def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
 # Factor parameterization of density matrices and entropic objectives.
 
 
+def unpack_complex(x, shape):
+    """The complex array of the given shape stored in the real vector x as
+    [Re G, Im G], each flattened; leading batch axes of x are kept."""
+    n = math.prod(shape)
+    g = x[..., :n] + 1j * x[..., n:]
+    return g.reshape(x.shape[:-1] + tuple(shape))
+
+
+def pack_complex(g, shape):
+    """Inverse of unpack_complex: the trailing axes of g have the given shape."""
+    flat = g.shape[:g.ndim - len(shape)] + (-1,)
+    return np.concatenate([g.real.reshape(flat), g.imag.reshape(flat)], axis=-1)
+
+
+def psd_factor(mat):
+    """F = V sqrt(lambda) from the eigendecomposition of the Hermitian mat,
+    negative eigenvalues clipped to 0, so that F F† is mat's PSD part."""
+    lam, v = np.linalg.eigh(mat)
+    return v * np.sqrt(np.clip(lam, 0.0, None))
+
+
 class DensityParam:
     """Parameterize density matrices as sigma(G) = (G G† + eps I) / Tr(...).
 
-    G is an unconstrained complex dim x rank matrix stored as a flat real
-    vector [Re G, Im G].  The eps regularizer keeps sigma full rank so the
-    entropy gradient d S(sigma + t Delta)/dt = -Tr[Delta log2 sigma]
-    - log2(e) Tr Delta is safe to use.  Every method also takes a stack of
-    vectors (..., n_params) and works on each of them.
+    G is an unconstrained complex dim x dim matrix stored as a flat real
+    vector [Re G, Im G].  The eps = DENSITY_EPS regularizer keeps sigma full
+    rank so the entropy gradient d S(sigma + t Delta)/dt = -Tr[Delta log2
+    sigma] - log2(e) Tr Delta is safe to use.  Every method also takes a
+    stack of vectors (..., n_params) and works on each of them.
     """
 
-    def __init__(self, dim, rank=None, eps=1e-9):
+    def __init__(self, dim):
         self.dim = int(dim)
-        self.rank = int(rank) if rank is not None else self.dim
-        self.eps = float(eps)
-        self.n_params = 2 * self.dim * self.rank
-
-    def unpack(self, x):
-        n = self.dim * self.rank
-        g = x[..., :n] + 1j * x[..., n:]
-        return g.reshape(x.shape[:-1] + (self.dim, self.rank))
-
-    def pack(self, g):
-        return np.stack([g.real, g.imag], axis=-3).reshape(g.shape[:-2] + (-1,))
+        self.shape = (self.dim, self.dim)
+        self.n_params = 2 * self.dim * self.dim
 
     def sigma(self, x):
         """Return (sigma, cache) where cache is reused by grad_x."""
-        g = self.unpack(x)
-        h = g @ g.conj().swapaxes(-1, -2) + self.eps * np.eye(self.dim)
+        g = unpack_complex(x, self.shape)
+        h = g @ g.conj().swapaxes(-1, -2) + DENSITY_EPS * np.eye(self.dim)
         tau = np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
         return h / tau, (g, tau)
 
@@ -421,16 +435,11 @@ class DensityParam:
         f_sigma -= (fs[..., None, None] / tau) * np.eye(self.dim)
         wg = f_sigma @ g
         wg *= 2.0
-        return self.pack(wg)
+        return pack_complex(wg, self.shape)
 
     def init_from_matrix(self, mat):
         """Pick x so that sigma(x) is (close to) the given density matrix."""
-        lam, v = np.linalg.eigh(mat)
-        lam = np.clip(lam, 0.0, None)
-        g = (v * np.sqrt(lam))[:, -self.rank:] if self.rank < self.dim else v * np.sqrt(lam)
-        if g.shape[1] < self.rank:
-            g = np.pad(g, ((0, 0), (0, self.rank - g.shape[1])))
-        return self.pack(g)
+        return pack_complex(psd_factor(mat), self.shape)
 
 
 def entropy_combo(sigma, dims, terms, w=None):
@@ -500,8 +509,9 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     compressed candidates, then the Dykstra projection of its optimum and of
     every candidate, where each target is full rank and the product
     candidate is an interior point.  The projected joints are embedded back,
-    and the feasible one with the lowest exact value is returned.  Raises DimensionCapError above the cap and
-    RuntimeError when no candidate meets cfg.tol_residual.
+    and the feasible one with the lowest exact value is returned.  Raises
+    DimensionCapError above the cap and RuntimeError when no candidate meets
+    TOL_RESIDUAL.
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
     d = math.prod(dims)
@@ -575,13 +585,13 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     failures = []
     for cand in pool:
         try:
-            x = dykstra_project(cand, sets, tol=min(1e-10, cfg.tol_residual), max_sweeps=5000)
+            x = dykstra_project(cand, sets, tol=1e-10, max_sweeps=5000)
         except RuntimeError as e:
             failures.append(str(e))
             continue
         x = x if w is None else w @ x @ w.conj().T
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
-        if max(res, default=0.0) > cfg.tol_residual:
+        if max(res, default=0.0) > TOL_RESIDUAL:
             continue
         feasible.append(x)
         val, _ = entropy_combo(x, dims, terms)

@@ -27,6 +27,8 @@ TRACE_TOL = 1e-10
 EIG_NEG_TOL = 1e-9
 # Eigenvalues below this contribute 0 to entropies (0 log 0 convention).
 ENTROPY_CLAMP = 1e-12
+# eigh_log2 takes the logarithm of max(eigenvalue, LOG_CLAMP).
+LOG_CLAMP = 1e-14
 
 
 class ValidationError(ValueError):
@@ -78,11 +80,10 @@ class SubsystemLayout:
                 raise ValidationError(f"unknown label {lab!r}; layout has {self.labels}")
         return tuple(sorted(pos[lab] for lab in labels))
 
-    def sublayout(self, keep_labels):
-        keep = set(keep_labels)
-        factors = tuple((lab, d) for lab, d in self.factors if lab in keep)
-        sides = {lab: self.sides[lab] for lab, _ in factors}
-        return SubsystemLayout(factors, sides)
+    def side_dims(self):
+        """(dA, dB): the dimensions of the A side and of the B side."""
+        da = math.prod(d for lab, d in self.factors if self.sides[lab] == "A")
+        return da, self.dim // da
 
 
 def bipartite_layout(da, db, label_a="A", label_b="B"):
@@ -161,17 +162,6 @@ def partial_trace_mat(mat, dims, keep_idx):
     return np.einsum("...ijkj->...ik", t)
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced state on the kept labels, in original factor order."""
-    keep = tuple(keep)
-    if not keep:
-        raise ValidationError("keep set must be nonempty")
-    idx = rho.layout.indices(keep)
-    red = partial_trace_mat(rho.mat, rho.layout.dims, idx)
-    sub = rho.layout.sublayout([rho.layout.labels[i] for i in idx])
-    return DensityOperator(sub, red)
-
-
 def expand_mat(mat, dims, keep_idx):
     """Adjoint of the partial trace: place mat on keep_idx, identity elsewhere.
 
@@ -208,8 +198,8 @@ def a_first_mat(rho: DensityOperator):
     layout = rho.layout
     a = layout.indices(layout.side_labels("A"))
     b = layout.indices(layout.side_labels("B"))
-    da = math.prod(layout.dims[i] for i in a)
-    return permute_factors(rho.mat, layout.dims, a + b), da, rho.dim // da
+    da, db = layout.side_dims()
+    return permute_factors(rho.mat, layout.dims, a + b), da, db
 
 
 def partial_transpose_mat(mat, dims, axes):
@@ -221,14 +211,6 @@ def partial_transpose_mat(mat, dims, axes):
         perm[i], perm[m + i] = perm[m + i], perm[i]
     d = math.prod(dims)
     return t.transpose(perm).reshape(d, d)
-
-
-def partial_transpose(rho: DensityOperator, side="B"):
-    """Partial transpose on all factors of the chosen side. Returns a matrix."""
-    if side not in ("A", "B"):
-        raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
-    axes = rho.layout.indices(rho.layout.side_labels(side))
-    return partial_transpose_mat(rho.mat, rho.layout.dims, axes)
 
 
 def shannon_entropy(p):
@@ -275,27 +257,6 @@ def mutual_information(rho: DensityOperator) -> float:
     return sa + sb - von_neumann_entropy(rho)
 
 
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler distance sum p log2(p/q), in bits.
-
-    Returns inf when p puts weight where q is (numerically) zero.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise ValidationError(f"length mismatch: {p.size} vs {q.size}")
-    if p.min() < -1e-12 or q.min() < -1e-12:
-        raise ValidationError("distributions must be nonnegative")
-    for name, v in (("p", p), ("q", q)):
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"{name} sums to {v.sum()!r}, expected 1")
-    mask = p > ENTROPY_CLAMP
-    if np.any(q[mask] <= 1e-15):
-        return float("inf")
-    pm, qm = p[mask], q[mask]
-    return float((pm * (np.log2(pm) - np.log2(qm))).sum())
-
-
 def trace_distance(rho, sigma) -> float:
     """Trace norm ||rho - sigma||_1 of the difference (range [0, 2] for states)."""
     a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
@@ -312,13 +273,13 @@ def binary_entropy(x) -> float:
     return shannon_entropy([x, 1 - x])
 
 
-def eigh_log2(mat, clamp=1e-14):
+def eigh_log2(mat):
     """Eigenvalues and log2 of a PSD matrix, from one eigendecomposition.
 
-    Eigenvalues are clamped below at clamp inside the logarithm only; the
+    Eigenvalues are clamped below at LOG_CLAMP inside the logarithm only; the
     returned eigenvalues are as computed.  Accepts a stack (..., d, d) and
     returns (..., d) eigenvalues and (..., d, d) logarithms.
     """
     lam, v = np.linalg.eigh(mat)
-    log = (v * np.log2(np.maximum(lam, clamp))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    log = (v * np.log2(np.maximum(lam, LOG_CLAMP))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return lam, log

@@ -1,5 +1,5 @@
-"""State-family constructors, ensembles, purifications, de Finetti broadcast
-states, and the JSON file format for states."""
+"""State-family constructors, ensembles, de Finetti broadcast states, and
+the JSON file format for states."""
 
 from __future__ import annotations
 
@@ -13,11 +13,12 @@ from .qcore import (
     SubsystemLayout,
     ValidationError,
     bipartite_layout,
-    partial_trace_mat,
     tensor,
 )
 
 STATE_FORMAT = "bq-state-v1"
+# spectral_ensemble keeps the eigenvectors whose eigenvalue exceeds this.
+SPECTRAL_CUTOFF = 1e-12
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -183,33 +184,17 @@ def canonical_ensembles(spec: StateSpec) -> Ensemble:
         f"no known product ensemble for family {spec.family!r} (entangled or unsupported)")
 
 
-def spectral_ensemble(rho: DensityOperator, cutoff=1e-12) -> Ensemble:
+def spectral_ensemble(rho: DensityOperator) -> Ensemble:
     """Eigendecomposition ensemble {(lambda_i, |v_i><v_i|)}.  Always valid,
     members need not be product states."""
     lam, v = np.linalg.eigh(rho.mat)
     members = []
     for i in range(lam.size):
-        if lam[i] > cutoff:
+        if lam[i] > SPECTRAL_CUTOFF:
             members.append((float(lam[i]), DensityOperator(rho.layout, _proj(v[:, i]))))
     probs = sum(p for p, _ in members)
     members = [(p / probs, m) for p, m in members]
     return Ensemble(tuple(members))
-
-
-def purify(rho: DensityOperator, ref_label="R") -> DensityOperator:
-    """Purification |psi><psi| on layout AB + R with dim R = rank(rho)."""
-    lam, v = np.linalg.eigh(rho.mat)
-    keep = lam > 1e-12
-    lam, v = lam[keep], v[:, keep]
-    r = max(1, lam.size)
-    psi = np.zeros(rho.dim * r, dtype=complex)
-    for i in range(lam.size):
-        psi += np.sqrt(lam[i]) * np.kron(v[:, i], np.eye(r)[i])
-    psi /= np.linalg.norm(psi)
-    factors = rho.layout.factors + ((ref_label, r),)
-    sides = dict(rho.layout.sides)
-    sides[ref_label] = "B"
-    return DensityOperator(SubsystemLayout(factors, sides), _proj(psi))
 
 
 def broadcast_layout(base: SubsystemLayout, n: int) -> SubsystemLayout:
@@ -236,13 +221,6 @@ def definetti_broadcast(ens: Ensemble, n: int) -> DensityOperator:
             power = np.kron(power, m.mat)
         total += p * power
     return DensityOperator(layout, total)
-
-
-def copy_marginal_mat(joint_mat, layout: SubsystemLayout, base: SubsystemLayout, k: int):
-    """Matrix of the k-th copy marginal of an n-copy joint (1-based k)."""
-    keep = tuple(f"{lab}{k}" for lab, _ in base.factors)
-    idx = layout.indices(keep)
-    return partial_trace_mat(joint_mat, layout.dims, idx)
 
 
 def save_state(path, rho: DensityOperator):

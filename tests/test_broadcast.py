@@ -10,13 +10,12 @@ from bqmi.broadcast import (
     growth_curve,
 )
 from bqmi.optim import DimensionCapError, OptimizerConfig, dim_cap
-from bqmi.qcore import mutual_information, trace_distance
+from bqmi.qcore import mutual_information, partial_trace_mat, trace_distance
 from bqmi.states import (
     StateSpec,
     bell_state,
     canonical_ensembles,
     cc_state,
-    copy_marginal_mat,
     product_mix_state,
     random_density,
 )
@@ -47,7 +46,8 @@ def test_broadcast_marginals_within_tolerance():
     bv = broadcast_mi_upper(rho, 2, CFG)
     joint = bv.diagnostics["broadcast_state"].joint
     for k in (1, 2):
-        red = copy_marginal_mat(joint.mat, joint.layout, rho.layout, k)
+        idx = joint.layout.indices((f"A{k}", f"B{k}"))
+        red = partial_trace_mat(joint.mat, joint.layout.dims, idx)
         assert np.linalg.norm(red - rho.mat) < 1e-7
 
 

@@ -108,6 +108,40 @@ def test_measure_extension_cap_exits_4(tmp_path, monkeypatch, argv):
     assert run(["measure", "--in", str(bell), *argv]) == 4
 
 
+@pytest.mark.parametrize("argv", [["--measure", "esq", "--dim-e", "0"],
+                                  ["--measure", "cemi", "--dim-ext", "0"],
+                                  ["--measure", "ecsq", "--members", "0"]])
+def test_measure_nonpositive_size_exits_2(tmp_path, argv):
+    bell = tmp_path / "bell.json"
+    run(["state", "--family", "bell", "--out", str(bell)])
+    assert run(["measure", "--in", str(bell), *argv]) == 2
+
+
+@pytest.mark.parametrize("outcomes", [[], ["--outcomes", "1"], ["--outcomes", "2"]])
+def test_measure_ic_with_fewer_outcomes_than_the_side_needs(tmp_path, capsys, outcomes):
+    # a 2 x 8 state: default_ic_povm(8) has 64 effects, more than --outcomes
+    rnd = tmp_path / "rnd.json"
+    run(["state", "--family", "random", "--dim", "16", "--out", str(rnd)])
+    capsys.readouterr()
+    assert run(["measure", "--in", str(rnd), "--measure", "ic", *outcomes,
+                "--restarts", "1", "--max-iters", "10"]) == 0
+    value = json.loads(capsys.readouterr().out)["result"]["value"]
+    assert 0.0 <= value <= bqmi.mutual_information(load_state(rnd))
+
+
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_chain_nonpositive_max_copies_exits_2(tmp_path, copies):
+    cc = tmp_path / "cc.json"
+    run(["state", "--family", "cc", "--out", str(cc)])
+    assert run(["chain", "--in", str(cc), "--max-copies", copies]) == 2
+
+
+@pytest.mark.parametrize("suite", ["thm1", "chain"])
+def test_verify_suite_passes(capsys, suite):
+    assert run(["verify", "--suite", suite, "--restarts", "2", "--max-iters", "40"]) == 0
+    assert capsys.readouterr().out.strip().endswith("verify: all checks passed")
+
+
 def test_chain_corrupted_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

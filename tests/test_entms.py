@@ -6,7 +6,6 @@ import pytest
 import bqmi.entms
 from bqmi.entms import (
     ChainReport,
-    ExtensionSpec,
     _ensemble_objective_terms,
     cemi_upper,
     chain_report,
@@ -57,10 +56,10 @@ def schmidt_state(lam2):
 
 
 def test_extension_spec_validation():
-    with pytest.raises(ValidationError, match="kind"):
-        ExtensionSpec("flat")
     with pytest.raises(ValidationError, match="dim"):
-        ExtensionSpec("squashed", {"E": 0})
+        esq_upper(bell_state(), 0, CFG)
+    with pytest.raises(ValidationError, match="dim"):
+        cemi_upper(bell_state(), 0, CFG)
 
 
 def test_ecsq_bell_is_one():
@@ -102,19 +101,14 @@ def test_ecsq_never_exceeds_half_quantum_mi():
 
 
 def test_ecsq_rejects_too_small_ensemble():
-    with pytest.raises(ValidationError, match="rank"):
-        ecsq_upper(werner_state(0.5), 1, CFG)
-
-
-def test_ecsq_warm_ensemble_is_respected():
-    ens = canonical_ensembles(StateSpec("product-mix"))
-    cap = 0.5 * sum(p * mutual_information(m) for p, m in ens.members)
-    bv = ecsq_upper(product_mix_state(), None, CFG, warm_ensembles=[ens])
-    assert bv.value <= cap + 1e-6
+    # only None selects the default size rank²; 0 and below are sizes too
+    for n_members in (1, 0, -1):
+        with pytest.raises(ValidationError, match="below rank"):
+            ecsq_upper(werner_state(0.5), n_members, CFG)
 
 
 def test_esq_bell_equals_entanglement_entropy():
-    bv = esq_upper(bell_state(), ExtensionSpec("squashed", {"E": 2}), CFG)
+    bv = esq_upper(bell_state(), 2, CFG)
     assert abs(bv.value - 1.0) < 1e-3
     assert bv.residuals["ab_marginal"] < 1e-8
 
@@ -122,19 +116,18 @@ def test_esq_bell_equals_entanglement_entropy():
 def test_esq_separable_with_flag_warm_start():
     ens = canonical_ensembles(StateSpec("product-mix"))
     flag = classical_flag_extension(ens, "squashed")
-    bv = esq_upper(product_mix_state(), ExtensionSpec("squashed", {"E": 2}),
-                   CFG, warm_starts=[flag])
+    bv = esq_upper(product_mix_state(), 2, CFG, warm_starts=[flag])
     assert bv.value <= 1e-3
 
 
 def test_esq_dimension_cap_enforced(monkeypatch):
     monkeypatch.setenv("BQ_MAX_DIM", "8")
     with pytest.raises(DimensionCapError, match="cap"):
-        esq_upper(bell_state(), ExtensionSpec("squashed", {"E": 4}), CFG)
+        esq_upper(bell_state(), 4, CFG)
 
 
 def test_cemi_bell_with_trivial_extension():
-    bv = cemi_upper(bell_state(), ExtensionSpec("cemi", {"A'": 1, "B'": 1}), CFG)
+    bv = cemi_upper(bell_state(), 1, CFG)
     # trivial extension gives half the quantum MI exactly
     assert abs(bv.value - 1.0) < 1e-3
 
@@ -142,15 +135,8 @@ def test_cemi_bell_with_trivial_extension():
 def test_cemi_product_state_vanishes():
     prod = DensityOperator(bipartite_layout(2, 2),
                            np.kron(np.diag([0.3, 0.7]), np.eye(2) / 2).astype(complex))
-    bv = cemi_upper(prod, ExtensionSpec("cemi", {"A'": 2, "B'": 2}), CFG)
+    bv = cemi_upper(prod, 2, CFG)
     assert bv.value <= 1e-3
-
-
-def test_extension_kind_mismatch():
-    with pytest.raises(ValidationError, match="kind"):
-        esq_upper(bell_state(), ExtensionSpec("cemi"), CFG)
-    with pytest.raises(ValidationError, match="kind"):
-        cemi_upper(bell_state(), ExtensionSpec("squashed"), CFG)
 
 
 def test_eic_bell_matches_convex_oracle():
@@ -200,6 +186,12 @@ def test_chain_report_cc_all_near_zero():
     assert rep.verdict == "consistent"
     for key in ("2ecsq", "2esq", "2cemi", "eic"):
         assert rep.entries[key].value <= 2e-3
+
+
+@pytest.mark.parametrize("ns", [(), (0,), (1, -1)])
+def test_chain_report_rejects_empty_or_nonpositive_copy_counts(ns):
+    with pytest.raises(ValidationError, match="copy counts"):
+        chain_report(bell_state(), CFG, ns=ns, name="bell")
 
 
 def test_chain_report_lets_bugs_raise(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bqmi.entms
 from bqmi.entms import eic_lower
 from bqmi.measures import (
     JointDistribution,
@@ -18,6 +19,7 @@ from bqmi.qcore import (
     SubsystemLayout,
     ValidationError,
     bipartite_layout,
+    mutual_information,
     partial_trace_mat,
     permute_factors,
 )
@@ -94,9 +96,25 @@ def test_classical_mi_max_bell_matches_projective_oracle():
     proj = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     oracle = classical_mi_fixed(measure_statistics(bell_state(), proj, proj))
     assert abs(oracle - 1.0) < 1e-12
-    bv = classical_mi_max(bell_state(), 4, CFG, warm_povms=[(proj, proj)])
+    bv = classical_mi_max(bell_state(), 4, CFG)
     assert oracle - 1e-6 <= bv.value <= 2.0
     assert abs(bv.value - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_classical_mi_max_with_fewer_outcomes_than_the_ic_povm(k):
+    # a 2 x 8 state: the 64-effect IC POVM on B is folded down to k effects
+    rho = random_density(16, 4, seed=0)
+    bv = classical_mi_max(rho, k, OptimizerConfig(restarts=1, max_iters=10))
+    assert 0.0 <= bv.value <= mutual_information(rho)
+    assert len(bv.diagnostics["povm_b"]) == k
+
+
+def test_povm_param_folds_surplus_effects_into_the_last():
+    sic = default_ic_povm(2)
+    effs, _ = PovmParam(2, 2).effects(PovmParam(2, 2).init_from_povm(sic))
+    assert np.allclose(effs[0], sic.effects[0], atol=1e-9)
+    assert np.allclose(effs[1], sum(sic.effects[1:]), atol=1e-9)
 
 
 def test_classical_mi_max_product_state_is_zero():
@@ -171,7 +189,7 @@ def test_side_order_of_the_layout_does_not_change_statistics():
                       - measure_statistics(swapped, m, n).p).max() < 1e-12
 
 
-def test_interleaved_layout_agrees_with_its_a_first_permutation():
+def test_interleaved_layout_agrees_with_its_a_first_permutation(monkeypatch):
     # factors A, B, A' interleave the sides; A, A', B lists A's first
     rho = random_density(8, 1, seed=0, dims=(4, 2))
     sides = {"A": "A", "B": "B", "A'": "A"}
@@ -181,7 +199,8 @@ def test_interleaved_layout_agrees_with_its_a_first_permutation():
     cfg = OptimizerConfig(restarts=1, max_iters=20)
     m, n = default_ic_povm(4), default_ic_povm(2)
     # a few steps keep this quick; the KL objective they reach is already > 0
-    e1, e2 = eic_lower(a_first, m, n, cfg, max_iters=10), eic_lower(inter, m, n, cfg, max_iters=10)
+    monkeypatch.setattr(bqmi.entms, "EIC_MAX_ITERS", 10)
+    e1, e2 = eic_lower(a_first, m, n, cfg), eic_lower(inter, m, n, cfg)
     f1, f2 = e1.diagnostics["objective"], e2.diagnostics["objective"]
     assert f1 > 1e-3 and abs(f1 - f2) < 1e-12 and e1.value == e2.value
     c1, c2 = classical_mi_max(a_first, 4, cfg), classical_mi_max(inter, 4, cfg)

@@ -58,13 +58,14 @@ def quadratic_problem():
     return q, a, objective, constraint
 
 
-def test_penalized_quadratic_matches_lagrangian_oracle():
+def test_penalized_quadratic_matches_lagrangian_oracle(monkeypatch):
     # min x'Qx subject to (a'x - 1)^2 penalty; the exact penalized optimum
     # solves (Q + w a a') x = w a, per penalty weight w.
     q, a, objective, constraint = quadratic_problem()
-    cfg = OptimizerConfig(restarts=2, max_iters=2000, penalty_schedule=(10.0, 1000.0))
+    monkeypatch.setattr(optim, "PENALTY_SCHEDULE", (10.0, 1000.0))
+    cfg = OptimizerConfig(restarts=2, max_iters=2000)
     res = minimize_penalized(objective, [("lin", constraint)], 5, cfg)
-    w = cfg.penalty_schedule[-1]
+    w = optim.PENALTY_SCHEDULE[-1]
     x_star = np.linalg.solve(2 * q + 2 * w * np.outer(a, a), 2 * w * a)
     assert np.linalg.norm(res.argmin - x_star) < 5e-3
 
@@ -125,9 +126,10 @@ def run_alone(objective, constraints, param_dim, cfg, inits, winner):
                               dataclasses.replace(cfg, restarts=1), inits=[start])
 
 
-def test_lockstep_restart_matches_the_same_start_run_alone():
+def test_lockstep_restart_matches_the_same_start_run_alone(monkeypatch):
     _, _, objective, constraint = quadratic_problem()
-    cfg = OptimizerConfig(restarts=4, max_iters=60, penalty_schedule=(10.0, 1000.0))
+    monkeypatch.setattr(optim, "PENALTY_SCHEDULE", (10.0, 1000.0))
+    cfg = OptimizerConfig(restarts=4, max_iters=60)
     for inits in ([], [np.full(5, 0.3)]):
         together = minimize_penalized(objective, [("lin", constraint)], 5, cfg, inits=inits)
         alone = run_alone(objective, [("lin", constraint)], 5, cfg, inits,

@@ -14,6 +14,7 @@ from bqmi.measures import PovmParam, _classical_mi_and_grads
 from bqmi.optim import (
     DensityParam,
     MarginalSet,
+    TOL_RESIDUAL,
     OptimizerConfig,
     entropy_combo,
     solve_marginal_problem,
@@ -157,7 +158,7 @@ def check_solution(blocks, terms):
         idx = tuple(range(start, start + len(bdims)))
         start += len(bdims)
         if target is not None:
-            assert np.linalg.norm(partial_trace_mat(x, dims, idx) - target) <= CFG.tol_residual
+            assert np.linalg.norm(partial_trace_mat(x, dims, idx) - target) <= TOL_RESIDUAL
     # supported in the product of the targets' supports
     supports = []
     for bdims, target in blocks:
