@@ -26,6 +26,7 @@ from .optim import (
     PptSet,
     PsdSet,
     TraceOneSet,
+    check_param_cap,
     dim_cap,
     dykstra_project,
     minimize_penalized,
@@ -113,7 +114,9 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
     Ensembles are parameterized by a POVM on the purifying system (every
     ensemble of rho arises this way); completeness is handled by a penalty
     during optimization and restored exactly before the value is reported,
-    so the reported ensemble averages to rho by construction.
+    so the reported ensemble averages to rho by construction.  Raises
+    DimensionCapError when the 2 K r² parameters exceed those of the largest
+    joint solve BQ_MAX_DIM admits.
     """
     lam, v = np.linalg.eigh(rho.mat)
     keep = lam > 1e-12
@@ -129,6 +132,7 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
 
     shape = (k, r, r)
     n_par = 2 * k * r * r
+    check_param_cap(n_par, f"ecsq_upper with {k} members of rank {r}")
 
     # The objective and the completeness penalty take a stack of parameter
     # vectors (..., n_par), as minimize_penalized evaluates its restarts.

@@ -10,6 +10,7 @@ import numpy as np
 from .optim import (
     BoundedValue,
     OptimizerConfig,
+    check_param_cap,
     minimize_penalized,
     pack_complex,
     psd_factor,
@@ -235,12 +236,19 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
 
     Maximizes I(p_ij) over local POVMs by multi-start gradient ascent on the
     unconstrained parameterization; local search can only underestimate the
-    true maximum, hence direction 'lower'.
+    true maximum, hence direction 'lower'.  Raises ValidationError for
+    fewer than 1 outcome per side, and DimensionCapError when the two POVMs'
+    2 k (dA² + dB²) parameters exceed those of the largest joint solve
+    BQ_MAX_DIM admits.
     """
     rho_ab, da, db = a_first_mat(rho)
     k = outcomes_per_side
+    if k < 1:
+        raise ValidationError(f"outcomes per side is {k}; a POVM needs at least 1 outcome")
     pa = PovmParam(da, k)
     pb = PovmParam(db, k)
+    check_param_cap(pa.n_params + pb.n_params,
+                    f"classical_mi_max with {k} outcomes on {da} x {db}")
 
     def split(x):
         return x[..., :pa.n_params], x[..., pa.n_params:]

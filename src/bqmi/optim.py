@@ -49,6 +49,17 @@ class DimensionCapError(ValueError):
     """Joint dimension would exceed the configured cap."""
 
 
+def check_param_cap(n_params, what):
+    """Raise DimensionCapError when a descent over n_params real parameters
+    is larger than the largest joint solve the cap admits, whose
+    DensityParam has 2 cap² parameters."""
+    cap = dim_cap()
+    if n_params > 2 * cap * cap:
+        raise DimensionCapError(
+            f"{what} has {n_params} parameters, more than the {2 * cap * cap} of a "
+            f"joint solve at the dimension cap {cap} (set BQ_MAX_DIM to raise)")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 300
@@ -442,6 +453,105 @@ class DensityParam:
         return pack_complex(psd_factor(mat), self.shape)
 
 
+class BlockIsometry:
+    """W = W_1 (x) ... (x) W_n, an isometry from the product of per-block
+    subspaces into the space the blocks' factors span, applied block by
+    block so that no full-space matrix of W is formed.
+
+    block_dims: each block's factor dims, in tensor order; bases: per block
+    a (prod(block dims), c_k) matrix with orthonormal columns.  A marginal
+    Tr_rest(W sigma W†) on the kept factors is one matmul per block against
+    K_k[(c, c'), (a, a')] = sum_b W_k[a b c] conj W_k[a' b c'], with a the
+    block's kept factors, b its traced ones and c its subspace, applied to
+    sigma with each block's index pair (c_k, c_k') side by side; pull_back,
+    W† (L (x) I) W, runs the same steps against conj K_k transposed.  The
+    K_k of each marginal's kept factors are made once and kept; embed and
+    compress are the marginal and the pull-back that keep every factor.
+    Every method also takes a stack (..., n, n), slice k of the result being
+    the call on slice k.
+    """
+
+    def __init__(self, block_dims, bases):
+        self.block_dims = [tuple(b) for b in block_dims]
+        self.bases = [np.asarray(b, dtype=complex) for b in bases]
+        self.dims = tuple(d for b in self.block_dims for d in b)
+        self.cdims = tuple(b.shape[1] for b in self.bases)
+        self._plans = {}
+
+    def _plan(self, keep, forward):
+        """The steps of one marginal (forward) or pull-back on the kept
+        factors keep: the reshape and transpose that put each block's index
+        pair side by side, one (matrix, multiply from the right, shape)
+        step per block whose K_k is not the identity, and the transpose and
+        dim that undo the pairing."""
+        ks, outer, start = [], [], 0
+        for bdims, basis in zip(self.block_dims, self.bases):
+            m, c = len(bdims), basis.shape[1]
+            kept = [i - start for i in keep if start <= i < start + m]
+            traced = [i for i in range(m) if i not in kept]
+            start += m
+            a = math.prod(bdims[i] for i in kept)
+            outer.append(a)
+            if not traced and c == a and np.array_equal(basis, np.eye(c)):
+                ks.append(None)
+                continue
+            wt = basis.reshape(bdims + (c,)).transpose(kept + traced + [m]).reshape(a, -1, c)
+            k = np.einsum("abc,ebd->cdae", wt, wt.conj()).reshape(c * c, a * a)
+            ks.append(k if forward else k.conj().T)
+        ins, outs = (self.cdims, outer) if forward else (outer, self.cdims)
+        n = len(ks)
+        steps, done = [], 1
+        for i, k in enumerate(ks):
+            if k is not None:
+                rest = math.prod(ins[i + 1:]) ** 2
+                if rest == 1:
+                    steps.append((k, True, (-1, done, ins[i] ** 2)))
+                else:
+                    steps.append((np.ascontiguousarray(k.T), False,
+                                  (-1, done, ins[i] ** 2, rest)))
+            done *= outs[i] ** 2
+        return ((-1,) + tuple(ins) * 2,
+                (0,) + tuple(x for i in range(n) for x in (1 + i, 1 + n + i)),
+                steps,
+                (-1,) + tuple(x for o in outs for x in (o, o)),
+                (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)),
+                math.prod(outs))
+
+    def _term_plan(self, keep, forward):
+        key = (tuple(keep), forward)
+        if key not in self._plans:
+            self._plans[key] = self._plan(*key)
+        return self._plans[key]
+
+    @staticmethod
+    def _apply(mat, plan):
+        in_shape, pair, steps, out_shape, unpair, dout = plan
+        t = mat.reshape(in_shape).transpose(pair)
+        for k, right, shape in steps:
+            t = t.reshape(shape) @ k if right else k @ t.reshape(shape)
+        return t.reshape(out_shape).transpose(unpair).reshape(mat.shape[:-2] + (dout, dout))
+
+    def marginal(self, sigma, keep):
+        """Tr_rest(W sigma W†) on the kept factors keep (sorted positions in
+        dims), for sigma on W's domain."""
+        return self._apply(sigma, self._term_plan(keep, True))
+
+    def pull_back(self, mat, keep):
+        """W† (mat (x) I) W, mat on the kept factors keep: the adjoint of
+        marginal."""
+        return self._apply(mat, self._term_plan(keep, False))
+
+    # embed and compress run a few times per solve, and their K_k, with
+    # c_k² d_k² entries, are the largest, so their plans are not kept.
+    def embed(self, x):
+        """W x W†."""
+        return self._apply(x, self._plan(tuple(range(len(self.dims))), True))
+
+    def compress(self, mat):
+        """W† mat W."""
+        return self._apply(mat, self._plan(tuple(range(len(self.dims))), False))
+
+
 def entropy_combo(sigma, dims, terms, w=None):
     """Weighted sum of marginal entropies and its matrix gradient.
 
@@ -451,10 +561,11 @@ def entropy_combo(sigma, dims, terms, w=None):
     sigma (..., d, d) gives a value and an F per matrix, each term taking one
     stacked eigendecomposition.
 
-    w, when given, is an isometry from sigma's space into the space that
+    w, when given, is a BlockIsometry from sigma's space into the space that
     dims factor: the state is then W sigma W†.  Its full-state entropy is
-    S(sigma) itself; the marginal terms are taken on W sigma W† and their
-    gradient is pulled back as W† F W.
+    S(sigma) itself; each marginal term is taken block by block as
+    w.marginal(sigma, keep) and its gradient pulled back with w.pull_back,
+    so no full-space matrix is formed.
     """
     d = sigma.shape[-1]
     f = 0.0
@@ -462,22 +573,17 @@ def entropy_combo(sigma, dims, terms, w=None):
     # of all terms expand to one multiple of the identity.
     fmat = np.broadcast_to(-LOG2E * sum(coef for coef, _ in terms) * np.eye(d, dtype=complex),
                            sigma.shape).copy()
-    # W sigma W† and the marginal terms' gradient there; without W these
-    # are sigma and fmat themselves, so the terms add up in their order.
-    full, cut = sigma, fmat
-    if w is not None:
-        full = w @ sigma @ w.conj().T
-        cut = np.zeros(full.shape, dtype=complex)
     for coef, keep in terms:
         if keep is None:
             lam, log = eigh_log2(sigma)
             fmat -= coef * log
+        elif w is None:
+            lam, log = eigh_log2(partial_trace_mat(sigma, dims, keep))
+            fmat -= coef * expand_mat(log, dims, keep)
         else:
-            lam, log = eigh_log2(partial_trace_mat(full, dims, keep))
-            cut -= coef * expand_mat(log, dims, keep)
+            lam, log = eigh_log2(w.marginal(sigma, keep))
+            fmat -= coef * w.pull_back(log, keep)
         f = f + coef * shannon_entropy(lam)
-    if w is not None:
-        fmat += w.conj().T @ cut @ w
     return f, fmat
 
 
@@ -508,8 +614,11 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     whole solve runs there: the penalized DensityParam descent from the
     compressed candidates, then the Dykstra projection of its optimum and of
     every candidate, where each target is full rank and the product
-    candidate is an interior point.  The projected joints are embedded back,
-    and the feasible one with the lowest exact value is returned.  Raises
+    candidate is an interior point.  W is a BlockIsometry, applied block by
+    block to compress the candidates, to take the marginal entropies and
+    their gradients (entropy_combo) and to embed the projected joints back;
+    no full-space matrix of W is formed.  The feasible embedded joint with
+    the lowest exact value is returned.  Raises
     DimensionCapError above the cap and RuntimeError when no candidate meets
     TOL_RESIDUAL.
     """
@@ -542,7 +651,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
         start += len(bdims)
     w = None  # None when every block is full rank: then W = I
     if any(b.shape[0] != b.shape[1] for b in bases):
-        w = functools.reduce(np.kron, bases)
+        w = BlockIsometry([bdims for bdims, _ in blocks], bases)
     cdims = tuple(b.shape[1] for b in bases)
 
     cands = []  # compressed candidates, each seeding a restart
@@ -550,7 +659,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
         c = np.asarray(getattr(c, "mat", c), dtype=complex)
         if c.shape != (d, d):
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
-        cands.append(c if w is None else w.conj().T @ c @ w)
+        cands.append(c if w is None else w.compress(c))
 
     msets = [MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
     par = DensityParam(math.prod(cdims))
@@ -589,12 +698,15 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
         except RuntimeError as e:
             failures.append(str(e))
             continue
-        x = x if w is None else w @ x @ w.conj().T
+        x = x if w is None else w.embed(x)
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
         if max(res, default=0.0) > TOL_RESIDUAL:
             continue
         feasible.append(x)
-        val, _ = entropy_combo(x, dims, terms)
+        # The value alone, from eigenvalues: a full-space gradient here
+        # would be thrown away.
+        val = sum(coef * shannon_entropy(np.linalg.eigvalsh(
+            x if keep is None else partial_trace_mat(x, dims, keep))) for coef, keep in terms)
         if best is None or val < best[0]:
             best = (val, x, res, cand)
     if best is None:

@@ -110,7 +110,9 @@ def test_measure_extension_cap_exits_4(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [["--measure", "esq", "--dim-e", "0"],
                                   ["--measure", "cemi", "--dim-ext", "0"],
-                                  ["--measure", "ecsq", "--members", "0"]])
+                                  ["--measure", "ecsq", "--members", "0"],
+                                  ["--measure", "ic", "--outcomes", "0"],
+                                  ["--measure", "ic", "--outcomes", "-1"]])
 def test_measure_nonpositive_size_exits_2(tmp_path, argv):
     bell = tmp_path / "bell.json"
     run(["state", "--family", "bell", "--out", str(bell)])

@@ -126,6 +126,15 @@ def test_esq_dimension_cap_enforced(monkeypatch):
         esq_upper(bell_state(), 4, CFG)
 
 
+def test_ecsq_dimension_cap_enforced(monkeypatch):
+    # at cap 8 a joint solve has at most 2 * 8² = 128 parameters; ecsq has 2 K r²
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    with pytest.raises(DimensionCapError, match="cap"):
+        ecsq_upper(random_density(16, 16, seed=0, dims=(4, 4)), None, CFG)
+    with pytest.raises(DimensionCapError, match="160 parameters"):
+        ecsq_upper(werner_state(0.5), 5, CFG)  # rank 4: 2 * 5 * 16
+
+
 def test_cemi_bell_with_trivial_extension():
     bv = cemi_upper(bell_state(), 1, CFG)
     # trivial extension gives half the quantum MI exactly

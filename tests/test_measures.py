@@ -13,7 +13,7 @@ from bqmi.measures import (
     default_ic_povm,
     measure_statistics,
 )
-from bqmi.optim import OptimizerConfig, finite_diff_check
+from bqmi.optim import DimensionCapError, OptimizerConfig, finite_diff_check
 from bqmi.qcore import (
     DensityOperator,
     SubsystemLayout,
@@ -108,6 +108,22 @@ def test_classical_mi_max_with_fewer_outcomes_than_the_ic_povm(k):
     bv = classical_mi_max(rho, k, OptimizerConfig(restarts=1, max_iters=10))
     assert 0.0 <= bv.value <= mutual_information(rho)
     assert len(bv.diagnostics["povm_b"]) == k
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_classical_mi_max_rejects_fewer_than_one_outcome(k):
+    with pytest.raises(ValidationError, match=f"outcomes per side is {k}"):
+        classical_mi_max(bell_state(), k, CFG)
+
+
+def test_classical_mi_max_dimension_cap_enforced(monkeypatch):
+    # at cap 8 a joint solve has at most 2 * 8² = 128 parameters; two
+    # k-outcome POVMs on dA x dB have 2 k (dA² + dB²)
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    with pytest.raises(DimensionCapError, match="256 parameters"):
+        classical_mi_max(random_density(16, 16, seed=0, dims=(4, 4)), 4, CFG)
+    bv = classical_mi_max(bell_state(), 4, OptimizerConfig(restarts=1, max_iters=5))
+    assert bv.residuals["quantum_mi_slack"] >= -1e-9  # 64 parameters still run
 
 
 def test_povm_param_folds_surplus_effects_into_the_last():

@@ -8,6 +8,7 @@ from bqmi import optim
 from bqmi.broadcast import broadcast_mi_upper
 from bqmi.entms import ecsq_upper
 from bqmi.optim import (
+    BlockIsometry,
     BoundedValue,
     DensityParam,
     MarginalSet,
@@ -289,7 +290,7 @@ def test_entropy_combo_compressed_matches_embedded():
     sig = g @ g.conj().T
     sig /= sig.trace().real
     terms = [(1.0, (0,)), (0.5, (1,)), (-1.0, None)]
-    val, fmat = entropy_combo(sig, (4, 2), terms, w)
+    val, fmat = entropy_combo(sig, (4, 2), terms, BlockIsometry([(4,), (2,)], [v, np.eye(2)]))
     want, fmat_full = entropy_combo(w @ sig @ w.conj().T, (4, 2), terms)
     assert abs(val - want) < 1e-10
     assert np.abs(fmat - w.conj().T @ fmat_full @ w).max() < 1e-9

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) of the qcore tensor helpers, of the
-stacked kernels the solvers evaluate their restarts with, and of the shared
-constrained-state solver, on small random layouts and states."""
+stacked kernels the solvers evaluate their restarts with, of the block
+isometry the constrained-state solver compresses with, of the bounds of the
+mutual information, and of the shared constrained-state solver, on small
+random layouts and states."""
 
 import functools
 import math
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from bqmi.entms import _ensemble_objective_terms
 from bqmi.measures import PovmParam, _classical_mi_and_grads
 from bqmi.optim import (
+    BlockIsometry,
     DensityParam,
     MarginalSet,
     TOL_RESIDUAL,
@@ -19,7 +22,14 @@ from bqmi.optim import (
     entropy_combo,
     solve_marginal_problem,
 )
-from bqmi.qcore import expand_mat, partial_trace_mat, permute_factors
+from bqmi.qcore import (
+    DensityOperator,
+    SubsystemLayout,
+    expand_mat,
+    mutual_information,
+    partial_trace_mat,
+    permute_factors,
+)
 from bqmi.states import random_density
 
 FAST = settings(max_examples=10, deadline=None)
@@ -41,6 +51,12 @@ def layouts(draw):
 
 def random_stack(batch, d, rng):
     return rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
+
+
+def random_isometry(d, c, rng):
+    """A d x c matrix with orthonormal columns."""
+    q, _ = np.linalg.qr(random_mat(d, rng))
+    return q[:, :c]
 
 
 @FAST
@@ -94,9 +110,14 @@ def test_stacked_state_kernels_match_single_calls(layout, batch):
     terms = [(1.0, keep), (-0.5, None)]
     assert_slices_match(entropy_combo(sig, dims, terms),
                         lambda k: entropy_combo(sig[k], dims, terms), batch)
-    # a state on a subspace of one dimension less, embedded by an isometry w
-    dc = max(1, d - 1)
-    w, _ = np.linalg.qr(rng.standard_normal((d, dc)) + 1j * rng.standard_normal((d, dc)))
+    # a state on a product of per-block subspaces, each of one dimension
+    # less than its block (or 1), embedded by the block isometry w
+    cut = sorted(rng.choice(np.arange(1, len(dims)), size=rng.integers(0, len(dims)),
+                            replace=False).tolist())
+    block_dims = [dims[i:j] for i, j in zip([0] + cut, cut + [len(dims)])]
+    w = BlockIsometry(block_dims, [random_isometry(math.prod(b), max(1, math.prod(b) - 1), rng)
+                                   for b in block_dims])
+    dc = math.prod(w.cdims)
     sig_c, _ = DensityParam(dc).sigma(rng.standard_normal(batch + (2 * dc * dc,)))
     assert_slices_match(entropy_combo(sig_c, dims, terms, w),
                         lambda k: entropy_combo(sig_c[k], dims, terms, w), batch)
@@ -104,6 +125,73 @@ def test_stacked_state_kernels_match_single_calls(layout, batch):
     target = partial_trace_mat(random_density(d, d, seed=seed % 1000).mat, dims, keep)
     mset = MarginalSet(dims, keep, target)
     assert_slices_match(mset.penalty(sig), lambda k: mset.penalty(sig[k]), batch)
+
+
+@st.composite
+def block_isometries(draw):
+    """(block dims, bases, seed): 1-3 blocks of 1-3 factors of dim 1-3, each
+    basis an isometry of rank 1 to full or, for a free block, the identity.
+    The whole space has dim at most 64, so that its dense W stays small."""
+    blocks = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                           min_size=1, max_size=3)
+                  .filter(lambda bs: math.prod(d for b in bs for d in b) <= 64))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    bases = []
+    for b in blocks:
+        bd = math.prod(b)
+        if draw(st.booleans()):
+            bases.append(np.eye(bd))
+        else:
+            bases.append(random_isometry(bd, draw(st.integers(1, bd)), rng))
+    return [tuple(b) for b in blocks], bases, seed
+
+
+@FAST
+@given(block_isometries(), BATCHES, st.data())
+def test_block_isometry_matches_dense_kron(iso, batch, data):
+    block_dims, bases, seed = iso
+    rng = np.random.default_rng(seed)
+    w = BlockIsometry(block_dims, bases)
+    dense = functools.reduce(np.kron, bases)
+    dims = w.dims
+    keep = tuple(sorted(data.draw(st.lists(st.sampled_from(range(len(dims))), min_size=1,
+                                           unique=True))))
+    dk = math.prod(dims[i] for i in keep)
+    sig = random_stack(batch, math.prod(w.cdims), rng)
+    lmat = random_stack(batch, dk, rng)
+    big = random_stack(batch, dense.shape[0], rng)
+    embedded = dense @ sig @ dense.conj().T
+    got = [w.marginal(sig, keep), w.pull_back(lmat, keep), w.embed(sig), w.compress(big)]
+    want = [partial_trace_mat(embedded, dims, keep),
+            dense.conj().T @ expand_mat(lmat, dims, keep) @ dense,
+            embedded,
+            dense.conj().T @ big @ dense]
+    for g, v in zip(got, want):
+        assert g.shape == v.shape
+        assert np.abs(g - v).max() <= 1e-12
+    assert_slices_match(got, lambda k: [w.marginal(sig[k], keep), w.pull_back(lmat[k], keep),
+                                        w.embed(sig[k]), w.compress(big[k])], batch)
+
+
+@st.composite
+def bipartite_layouts(draw):
+    """A SubsystemLayout of 2-4 factors of dim 1-3, each side non-empty."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    sides = draw(st.lists(st.sampled_from("AB"), min_size=len(dims), max_size=len(dims))
+                 .filter(lambda s: "A" in s and "B" in s))
+    labels = [f"F{i}" for i in range(len(dims))]
+    return SubsystemLayout(tuple(zip(labels, dims)), dict(zip(labels, sides)))
+
+
+@FAST
+@given(bipartite_layouts(), st.integers(0, 2 ** 32 - 1), st.data())
+def test_mutual_information_within_its_bounds(layout, seed, data):
+    d = layout.dim
+    rho = random_density(d, data.draw(st.integers(1, d)), seed=seed)
+    mi = mutual_information(DensityOperator(layout, rho.mat))
+    da, db = layout.side_dims()
+    assert -1e-9 <= mi <= 2 * math.log2(min(da, db)) + 1e-9
 
 
 @FAST
