@@ -459,16 +459,20 @@ class BlockIsometry:
     block so that no full-space matrix of W is formed.
 
     block_dims: each block's factor dims, in tensor order; bases: per block
-    a (prod(block dims), c_k) matrix with orthonormal columns.  A marginal
-    Tr_rest(W sigma W†) on the kept factors is one matmul per block against
-    K_k[(c, c'), (a, a')] = sum_b W_k[a b c] conj W_k[a' b c'], with a the
-    block's kept factors, b its traced ones and c its subspace, applied to
-    sigma with each block's index pair (c_k, c_k') side by side; pull_back,
-    W† (L (x) I) W, runs the same steps against conj K_k transposed.  The
-    K_k of each marginal's kept factors are made once and kept; embed and
-    compress are the marginal and the pull-back that keep every factor.
-    Every method also takes a stack (..., n, n), slice k of the result being
-    the call on slice k.
+    a (d_k, c_k) matrix with orthonormal columns, d_k = prod(block dims).
+    A marginal Tr_rest(W sigma W†) on the kept factors maps each block's
+    index pair (c_k, c_k') of sigma, laid side by side, in turn; with a the
+    block's kept factors, b its traced ones and c its subspace, either by
+    two matmuls against W_k and conj W_k that trace b on the way, with
+    c_k d_k entries each and c_k d_k (c_k + a_k) multiplications per
+    entry of the other blocks, or by one against
+    K_k[(c, c'), (a, a')] = sum_b W_k[a b c] conj W_k[a' b c'], with
+    c_k² a_k² of both, when that is fewer multiplications and K_k is no
+    larger than one joint on W's domain.  pull_back, W† (L (x) I) W, runs the
+    same steps in reverse; embed and compress are the marginal and the
+    pull-back that keep every factor.  The steps of each set of kept
+    factors are made once and kept.  Every method also takes a stack
+    (..., n, n), slice k of the result being the call on slice k.
     """
 
     def __init__(self, block_dims, bases):
@@ -481,10 +485,10 @@ class BlockIsometry:
     def _plan(self, keep, forward):
         """The steps of one marginal (forward) or pull-back on the kept
         factors keep: the reshape and transpose that put each block's index
-        pair side by side, one (matrix, multiply from the right, shape)
-        step per block whose K_k is not the identity, and the transpose and
+        pair side by side, the (matrix, multiply from the right, shape)
+        steps of each block that is not the identity, and the transpose and
         dim that undo the pairing."""
-        ks, outer, start = [], [], 0
+        wts, outer, start = [], [], 0
         for bdims, basis in zip(self.block_dims, self.bases):
             m, c = len(bdims), basis.shape[1]
             kept = [i - start for i in keep if start <= i < start + m]
@@ -493,22 +497,36 @@ class BlockIsometry:
             a = math.prod(bdims[i] for i in kept)
             outer.append(a)
             if not traced and c == a and np.array_equal(basis, np.eye(c)):
-                ks.append(None)
-                continue
-            wt = basis.reshape(bdims + (c,)).transpose(kept + traced + [m]).reshape(a, -1, c)
-            k = np.einsum("abc,ebd->cdae", wt, wt.conj()).reshape(c * c, a * a)
-            ks.append(k if forward else k.conj().T)
+                wts.append(None)
+            else:  # W_k as (a, b, c)
+                wts.append(basis.reshape(bdims + (c,)).transpose(kept + traced + [m])
+                           .reshape(a, -1, c))
         ins, outs = (self.cdims, outer) if forward else (outer, self.cdims)
-        n = len(ks)
+        n = len(wts)
+        joint = math.prod(self.cdims) ** 2
         steps, done = [], 1
-        for i, k in enumerate(ks):
-            if k is not None:
+        for i, wt in enumerate(wts):
+            if wt is not None:
+                a, b, c = wt.shape
                 rest = math.prod(ins[i + 1:]) ** 2
-                if rest == 1:
-                    steps.append((k, True, (-1, done, ins[i] ** 2)))
-                else:
-                    steps.append((np.ascontiguousarray(k.T), False,
-                                  (-1, done, ins[i] ** 2, rest)))
+                if c * a * a <= a * b * (c + a) and (c * a) ** 2 <= joint:
+                    k = np.einsum("abc,ebd->cdae", wt, wt.conj()).reshape(c * c, a * a)
+                    k = k if forward else k.conj().T
+                    if rest == 1:
+                        steps.append((k, True, (-1, done, ins[i] ** 2)))
+                    else:
+                        steps.append((np.ascontiguousarray(k.T), False,
+                                      (-1, done, ins[i] ** 2, rest)))
+                elif forward:  # sum_{b c'} (W_k sigma)[a b, c'] conj W_k[a' b c']
+                    steps += [(np.ascontiguousarray(wt.reshape(a * b, c)), False,
+                               (-1, done, c, c * rest)),
+                              (np.ascontiguousarray(wt.conj().reshape(a, b * c)), False,
+                               (-1, done * a, b * c, rest))]
+                else:  # sum_{a b} conj W_k[a b c] (L W_k)[a, b c']
+                    steps += [(np.ascontiguousarray(wt.reshape(a, b * c).T), False,
+                               (-1, done * a, a, rest)),
+                              (np.ascontiguousarray(wt.conj().reshape(a * b, c).T), False,
+                               (-1, done, a * b, c * rest))]
             done *= outs[i] ** 2
         return ((-1,) + tuple(ins) * 2,
                 (0,) + tuple(x for i in range(n) for x in (1 + i, 1 + n + i)),
@@ -517,15 +535,11 @@ class BlockIsometry:
                 (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)),
                 math.prod(outs))
 
-    def _term_plan(self, keep, forward):
+    def _apply(self, mat, keep, forward):
         key = (tuple(keep), forward)
         if key not in self._plans:
             self._plans[key] = self._plan(*key)
-        return self._plans[key]
-
-    @staticmethod
-    def _apply(mat, plan):
-        in_shape, pair, steps, out_shape, unpair, dout = plan
+        in_shape, pair, steps, out_shape, unpair, dout = self._plans[key]
         t = mat.reshape(in_shape).transpose(pair)
         for k, right, shape in steps:
             t = t.reshape(shape) @ k if right else k @ t.reshape(shape)
@@ -534,22 +548,20 @@ class BlockIsometry:
     def marginal(self, sigma, keep):
         """Tr_rest(W sigma W†) on the kept factors keep (sorted positions in
         dims), for sigma on W's domain."""
-        return self._apply(sigma, self._term_plan(keep, True))
+        return self._apply(sigma, keep, True)
 
     def pull_back(self, mat, keep):
         """W† (mat (x) I) W, mat on the kept factors keep: the adjoint of
         marginal."""
-        return self._apply(mat, self._term_plan(keep, False))
+        return self._apply(mat, keep, False)
 
-    # embed and compress run a few times per solve, and their K_k, with
-    # c_k² d_k² entries, are the largest, so their plans are not kept.
     def embed(self, x):
         """W x W†."""
-        return self._apply(x, self._plan(tuple(range(len(self.dims))), True))
+        return self._apply(x, range(len(self.dims)), True)
 
     def compress(self, mat):
         """W† mat W."""
-        return self._apply(mat, self._plan(tuple(range(len(self.dims))), False))
+        return self._apply(mat, range(len(self.dims)), False)
 
 
 def entropy_combo(sigma, dims, terms, w=None):
@@ -698,15 +710,12 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
         except RuntimeError as e:
             failures.append(str(e))
             continue
+        val = entropy_combo(x, dims, terms, w)[0]
         x = x if w is None else w.embed(x)
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
         if max(res, default=0.0) > TOL_RESIDUAL:
             continue
         feasible.append(x)
-        # The value alone, from eigenvalues: a full-space gradient here
-        # would be thrown away.
-        val = sum(coef * shannon_entropy(np.linalg.eigvalsh(
-            x if keep is None else partial_trace_mat(x, dims, keep))) for coef, keep in terms)
         if best is None or val < best[0]:
             best = (val, x, res, cand)
     if best is None:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ def test_esq_separable_with_flag_warm_start():
     flag = classical_flag_extension(ens, "squashed")
     bv = esq_upper(product_mix_state(), 2, CFG, warm_starts=[flag])
     assert bv.value <= 1e-3
+
+
+def test_esq_large_rank_deficient_block_stays_small():
+    # one 2 x 64 block of rank 64 beside a free E: a K_k of the (B, E)
+    # marginal would have 64² · 64² entries (268 MB), W_k has 128 · 64
+    tracemalloc.start()
+    try:
+        bv = esq_upper(random_density(128, 64, seed=0), 2,
+                       OptimizerConfig(restarts=1, max_iters=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bv.residuals["ab_marginal"] < 1e-8
+    assert peak < 64 * 2 ** 20
 
 
 def test_esq_dimension_cap_enforced(monkeypatch):
