@@ -101,6 +101,18 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
     return bv
 
 
+def sweep_warm_starts(rho: DensityOperator, n: int, prev, ensemble):
+    """The warm starts of the n-copy solve in a sweep over copy counts:
+    prev (x) rho, when prev, the BroadcastState of the sweep's last solve,
+    has n - 1 copies, and the de Finetti state of ensemble, when one is
+    given and n > 1.  A generator, so that broadcast_mi_upper builds them
+    only after its dimension check."""
+    if prev is not None and prev.n == n - 1:
+        yield np.kron(prev.joint.mat, rho.mat)
+    if ensemble is not None and n > 1:
+        yield definetti_broadcast(ensemble, n).mat
+
+
 def definetti_upper(rho: DensityOperator, ens: Ensemble, n: int):
     """De Finetti upper bound on (I_b)_n and its analytic cap.
 
@@ -131,12 +143,11 @@ def growth_curve(rho: DensityOperator, n_max: int, cfg: OptimizerConfig,
                  ensemble=None) -> GrowthCurve:
     """Estimate (I_b)_n for n = 1..n_max and classify the growth behavior.
 
-    Upper estimates are warm-started across n by tensoring the previous
-    optimal joint with rho.  Lower values are max(I(rho), n * certificate)
-    where the certificate is the measured-correlation lower bound with
-    default IC POVMs.  ensemble, when given, adds de Finetti warm starts and
-    sets the boundedness cap; otherwise a cap is obtained from the ensemble
-    optimizer.
+    Upper estimates are warm-started across n by sweep_warm_starts.  Lower
+    values are max(I(rho), n * certificate) where the certificate is the
+    measured-correlation lower bound with default IC POVMs.  ensemble, when
+    given, adds de Finetti warm starts and sets the boundedness cap;
+    otherwise a cap is obtained from the ensemble optimizer.
     """
     from .entms import ecsq_upper, eic_lower
     from .measures import default_ic_povm
@@ -151,15 +162,11 @@ def growth_curve(rho: DensityOperator, n_max: int, cfg: OptimizerConfig,
         ensemble = ecsq.diagnostics.get("ensemble")
 
     per_n = []
-    prev_joint = None
+    prev = None
     for n in range(1, n_max + 1):
-        warm = []
-        if prev_joint is not None:
-            warm.append(np.kron(prev_joint, rho.mat))
-        if ensemble is not None and n > 1:
-            warm.append(definetti_broadcast(ensemble, n).mat)
-        up = broadcast_mi_upper(rho, n, cfg, warm_starts=warm)
-        prev_joint = up.diagnostics["broadcast_state"].joint.mat
+        up = broadcast_mi_upper(rho, n, cfg,
+                                warm_starts=sweep_warm_starts(rho, n, prev, ensemble))
+        prev = up.diagnostics["broadcast_state"]
         lo = BoundedValue(
             value=float(max(base_mi, n * certificate)),
             direction="lower",

@@ -15,13 +15,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .broadcast import growth_curve, property_checks
 from .entms import cemi_upper, chain_report, ecsq_upper, eic_lower, esq_upper
 from .measures import classical_mi_max, default_ic_povm
-from .optim import BoundedValue, DimensionCapError, OptimizerConfig, dim_cap
+from .optim import SOLVER_FAILURES, BoundedValue, DimensionCapError, OptimizerConfig, dim_cap
 from .qcore import ValidationError, mutual_information
 from .states import (
     StateSpec,
@@ -129,7 +127,7 @@ def cmd_measure(args):
             result = eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg)
         doc = {"measure": args.measure, "state": getattr(args, "in"),
                "result": result.to_dict(), "manifest": _manifest(args, cfg)}
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except SOLVER_FAILURES as e:
         status = EXIT_SOLVER
         doc = {"measure": args.measure, "state": getattr(args, "in"),
                "error": str(e), "manifest": _manifest(args, cfg)}
@@ -285,15 +283,12 @@ def _run(args):
     except DimensionCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except np.linalg.LinAlgError as e:  # a ValueError, but a solver failure
+    except SOLVER_FAILURES as e:  # ahead of ValueError: LinAlgError is one
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValidationError, ValueError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (RuntimeError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 def main(argv=None):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .measures import Povm, default_ic_povm, measure_statistics
 from .optim import (
+    SOLVER_FAILURES,
     BoundedValue,
     DimensionCapError,
     OptimizerConfig,
@@ -29,6 +30,7 @@ from .optim import (
     check_param_cap,
     dim_cap,
     dykstra_project,
+    entropy_combo,
     minimize_penalized,
     pack_complex,
     psd_factor,
@@ -40,20 +42,13 @@ from .qcore import (
     DensityOperator,
     SubsystemLayout,
     ValidationError,
-    eigh_log2,
-    expand_mat,
     mutual_information,
-    partial_trace_mat,
     shannon_entropy,
     tensor,
     trace_distance,
 )
 from .states import Ensemble
 
-# Solver failures that chain_report records as a note; anything else is a
-# bug and propagates.  LinAlgError is an eigensolver that did not converge.
-SOLVER_FAILURES = (RuntimeError, FloatingPointError, DimensionCapError,
-                   np.linalg.LinAlgError)
 # Projected-gradient steps of eic_lower.
 EIC_MAX_ITERS = 2000
 
@@ -85,23 +80,20 @@ def _ensemble_objective_terms(r_k, dims, a_idx, b_idx):
     given as a (K, d, d) stack, plus the stack of matrix gradients
     dF = sum_k Tr[grad_k dR_k].  Members of weight below 1e-14 add nothing
     and get a zero gradient.  A stack of ensembles (..., K, d, d) gives one
-    value and one gradient stack per ensemble."""
+    value and one gradient stack per ensemble.
+
+    S(R_A) + S(R_B) - S(R) = p I(rho) - p log2 p, so the value is the
+    entropy_combo of each member plus sum_k p_k log2 p_k, and the gradient
+    entropy_combo's plus (log2 p_k + log2 e) I."""
     d = r_k.shape[-1]
     p = np.trace(r_k, axis1=-2, axis2=-1).real
     live = p >= 1e-14
     log_p = np.log2(np.where(live, p, 1.0))
-    lam_r, log_r = eigh_log2(r_k)
-    lam_a, log_a = eigh_log2(partial_trace_mat(r_k, dims, a_idx))
-    lam_b, log_b = eigh_log2(partial_trace_mat(r_k, dims, b_idx))
-    # One entropy over all members' spectra per ensemble: the spectra of the
-    # members below 1e-14 lie below ENTROPY_CLAMP and add nothing.
-    flat = r_k.shape[:-3] + (-1,)
-    val = (shannon_entropy(lam_a.reshape(flat)) + shannon_entropy(lam_b.reshape(flat))
-           - shannon_entropy(lam_r.reshape(flat)) + (p * log_p).sum(-1))
-    grads = (log_r
-             - expand_mat(log_a, dims, a_idx)
-             - expand_mat(log_b, dims, b_idx)
-             + log_p[..., None, None] * np.eye(d))
+    # The spectra of members below 1e-14 lie below ENTROPY_CLAMP, so their
+    # entropies are 0 and each adds nothing to the sum over members.
+    f, grads = entropy_combo(r_k, dims, [(1.0, a_idx), (1.0, b_idx), (-1.0, None)])
+    val = f.sum(-1) + (p * log_p).sum(-1)
+    grads += (log_p + LOG2E)[..., None, None] * np.eye(d)
     return val, np.where(live[..., None, None], grads, 0.0)
 
 
@@ -381,13 +373,13 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     """Evaluate the inequality chain 2E^C_sq >= per-copy broadcast MI limit
     >= 2E_I >= 2E^Q_sq together with the measured-correlation lower bound,
     and check every verifiable cross-direction pair.  Solver failures
-    (SOLVER_FAILURES) become notes and missing entries, and the report's
-    failures map each missing entry's name to its message; other errors
-    raise.  ns, the copy counts of the broadcast entries, must be nonempty
-    and positive."""
-    from .broadcast import broadcast_mi_upper
-    from .states import definetti_broadcast
+    (optim.SOLVER_FAILURES) and DimensionCapError become notes and missing
+    entries, and the report's failures map each missing entry's name to its
+    message; other errors raise.  ns, the copy counts of the broadcast
+    entries, must be nonempty and positive."""
+    from .broadcast import broadcast_mi_upper, sweep_warm_starts
 
+    skipped = (DimensionCapError, *SOLVER_FAILURES)  # anything else is a bug
     ns = tuple(ns)
     if not ns or min(ns) < 1:
         raise ValidationError(f"copy counts must be nonempty and >= 1, got {ns}")
@@ -408,7 +400,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     try:
         results["ecsq"] = ecsq_upper(rho, None, cfg)
         ensemble = results["ecsq"].diagnostics.get("ensemble")
-    except SOLVER_FAILURES as e:
+    except skipped as e:
         failed("ecsq", "2ecsq", e)
 
     dim_e = max(rho.dim, len(ensemble.members) if ensemble else 0)
@@ -431,7 +423,7 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     for k, f in tasks.items():
         try:
             results[k] = f()
-        except SOLVER_FAILURES as e:
+        except skipped as e:
             failed(k, "eic" if k == "eic" else "2" + k, e)
 
     for key in ("ecsq", "esq", "cemi"):
@@ -445,17 +437,13 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     ib_est = {}
     prev = None
     for nn in ns:
-        warm = []
-        if prev is not None:
-            warm.append(np.kron(prev, rho.mat))
-        if ensemble is not None and nn > 1:
-            warm.append(definetti_broadcast(ensemble, nn).mat)
         try:
-            up = broadcast_mi_upper(rho, nn, cfg, warm_starts=warm)
-        except SOLVER_FAILURES as e:
+            up = broadcast_mi_upper(rho, nn, cfg,
+                                    warm_starts=sweep_warm_starts(rho, nn, prev, ensemble))
+        except skipped as e:
             failed(f"broadcast n={nn}", f"ib_per_copy_n{nn}", e)
             continue
-        prev = up.diagnostics["broadcast_state"].joint.mat
+        prev = up.diagnostics["broadcast_state"]
         ib_est[nn] = up.value
         entries[f"ib_per_copy_n{nn}"] = BoundedValue(
             up.value / nn, "upper", up.method, up.residuals,

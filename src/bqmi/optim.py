@@ -49,6 +49,11 @@ class DimensionCapError(ValueError):
     """Joint dimension would exceed the configured cap."""
 
 
+# The errors by which a solver fails, rather than its input: a run that did
+# not converge, a non-finite objective, an eigensolver that did not converge.
+SOLVER_FAILURES = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
+
+
 def check_param_cap(n_params, what):
     """Raise DimensionCapError when a descent over n_params real parameters
     is larger than the largest joint solve the cap admits, whose
@@ -303,8 +308,9 @@ class PsdSet:
         return float(max(0.0, -lam[0]))
 
 
-class PptSet:
-    """Matrices whose partial transpose over the given factor axes is PSD."""
+class PptSet(PsdSet):
+    """Matrices whose partial transpose over the given factor axes is PSD:
+    the PSD projector and residual taken on the partial transpose."""
 
     name = "ppt"
 
@@ -313,15 +319,11 @@ class PptSet:
         self.axes = tuple(axes)
 
     def project(self, x):
-        y = partial_transpose_mat(x, self.dims, self.axes)
-        lam, v = np.linalg.eigh(y)
-        lam = np.clip(lam, 0.0, None)
-        y = (v * lam) @ v.conj().T
+        y = super().project(partial_transpose_mat(x, self.dims, self.axes))
         return partial_transpose_mat(y, self.dims, self.axes)
 
     def residual(self, x):
-        lam = np.linalg.eigvalsh(partial_transpose_mat(x, self.dims, self.axes))
-        return float(max(0.0, -lam[0]))
+        return super().residual(partial_transpose_mat(x, self.dims, self.axes))
 
 
 class TraceOneSet:
@@ -629,10 +631,11 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     candidate is an interior point.  W is a BlockIsometry, applied block by
     block to compress the candidates, to take the marginal entropies and
     their gradients (entropy_combo) and to embed the projected joints back;
-    no full-space matrix of W is formed.  The feasible embedded joint with
-    the lowest exact value is returned.  Raises
-    DimensionCapError above the cap and RuntimeError when no candidate meets
-    TOL_RESIDUAL.
+    no full-space matrix of W is formed.  Free and full-rank blocks have the
+    identity as their basis, so a full-rank problem runs the same code on
+    the whole space.  The feasible embedded joint with the lowest exact
+    value is returned.  Raises DimensionCapError above the cap and
+    RuntimeError when no candidate meets TOL_RESIDUAL.
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
     d = math.prod(dims)
@@ -661,20 +664,17 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
             compressed.append((k, target))
         bases.append(basis)
         start += len(bdims)
-    w = None  # None when every block is full rank: then W = I
-    if any(b.shape[0] != b.shape[1] for b in bases):
-        w = BlockIsometry([bdims for bdims, _ in blocks], bases)
-    cdims = tuple(b.shape[1] for b in bases)
+    w = BlockIsometry([bdims for bdims, _ in blocks], bases)
 
     cands = []  # compressed candidates, each seeding a restart
     for c in itertools.chain([functools.reduce(np.kron, parts)], candidates):
         c = np.asarray(getattr(c, "mat", c), dtype=complex)
         if c.shape != (d, d):
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
-        cands.append(c if w is None else w.compress(c))
+        cands.append(w.compress(c))
 
-    msets = [MarginalSet(cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
-    par = DensityParam(math.prod(cdims))
+    msets = [MarginalSet(w.cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
+    par = DensityParam(math.prod(w.cdims))
     # minimize_penalized evaluates the objective and then every penalty on
     # the same stack of points, so one stacked sigma serves them all.  The
     # cache holds that stack (nothing mutates it in place) and its results.
@@ -711,7 +711,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
             failures.append(str(e))
             continue
         val = entropy_combo(x, dims, terms, w)[0]
-        x = x if w is None else w.embed(x)
+        x = w.embed(x)
         res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
         if max(res, default=0.0) > TOL_RESIDUAL:
             continue

@@ -25,7 +25,7 @@ LOG2E = np.log2(np.e)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_NEG_TOL = 1e-9
-# Eigenvalues below this contribute 0 to entropies (0 log 0 convention).
+# Eigenvalues at or below this add 0 to entropies (0 log 0 convention).
 ENTROPY_CLAMP = 1e-12
 # eigh_log2 takes the logarithm of max(eigenvalue, LOG_CLAMP).
 LOG_CLAMP = 1e-14
@@ -217,23 +217,16 @@ def shannon_entropy(p):
     """Shannon entropy -sum p log2 p of a probability vector, in bits.
 
     The one entropy kernel: von Neumann entropies are Shannon entropies of
-    spectra.  Entries at or below ENTROPY_CLAMP count as 0 (0 log 0 = 0).
-    A vector gives a float; a stack (..., n) gives one entropy per vector,
-    each summed exactly as the vector alone would be.
+    spectra.  Entries at or below ENTROPY_CLAMP are replaced by 1 and stay
+    in the sum, adding 1 log 1 = 0 (the 0 log 0 = 0 convention).  A vector
+    gives a float; a stack (..., n) gives one entropy per vector, by the
+    same code, so slice k of a stack is bit-identical to the call on it.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim <= 1:
-        p = p[p > ENTROPY_CLAMP]
-        return float(-(p * np.log2(p)).sum())
-    keep = p > ENTROPY_CLAMP
-    terms = np.where(keep, p, 1.0)
+    terms = np.where(p > ENTROPY_CLAMP, p, 1.0)
     terms *= np.log2(terms)
-    s = terms.sum(-1)
-    # Zeros in place of clamped entries regroup numpy's pairwise sum; a
-    # vector with clamped entries is summed over its kept entries alone.
-    for k in zip(*np.nonzero(~keep.all(-1))):
-        s[k] = terms[k][keep[k]].sum()
-    return -s
+    s = -terms.sum(-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def von_neumann_entropy(rho) -> float:

@@ -73,6 +73,21 @@ def test_descent_runs_in_the_targets_support(monkeypatch):
     assert seen == [4, 16]
 
 
+def test_full_rank_solve_runs_through_the_block_isometry(monkeypatch):
+    # a full-rank target's support basis is the identity: the solve takes the
+    # same block-isometry path as a rank-deficient one
+    built = []
+
+    class Spy(optim.BlockIsometry):
+        def __init__(self, block_dims, bases):
+            built.append([np.shape(b) for b in bases])
+            super().__init__(block_dims, bases)
+
+    monkeypatch.setattr(optim, "BlockIsometry", Spy)
+    broadcast_mi_upper(random_density(4, 4, seed=1), 2, OptimizerConfig(restarts=1, max_iters=5))
+    assert built == [[(4, 4), (4, 4)]]
+
+
 def test_definetti_upper_never_exceeds_cap():
     ens = canonical_ensembles(StateSpec("product-mix"))
     rho = ens.average()

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bqmi.broadcast
 import bqmi.entms
 from bqmi.entms import (
     ChainReport,
@@ -226,6 +227,31 @@ def test_chain_report_lets_bugs_raise(monkeypatch):
     monkeypatch.setattr(bqmi.entms, "esq_upper", broken)
     with pytest.raises(TypeError, match="bug"):
         chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1,), name="cc")
+
+
+CHAIN_ENTRIES = {"2ecsq", "2esq", "2cemi", "eic"}
+FAST_CFG = OptimizerConfig(restarts=1, max_iters=5)
+
+
+def test_chain_report_with_a_gap_in_the_copy_counts():
+    # the n=3 solve has no n=2 joint to extend; the n=1 joint is no warm start
+    rep = chain_report(werner_state(0.5), FAST_CFG, ns=(1, 3))
+    assert set(rep.entries) == CHAIN_ENTRIES | {"ib_per_copy_n1", "ib_per_copy_n3"}
+    assert rep.failures == {}
+
+
+def test_chain_report_after_a_failed_copy_count(monkeypatch):
+    real = bqmi.broadcast.broadcast_mi_upper
+
+    def fail_at_two(rho, n, cfg, warm_starts=None):
+        if n == 2:
+            raise RuntimeError("no convergence at n=2")
+        return real(rho, n, cfg, warm_starts=warm_starts)
+
+    monkeypatch.setattr(bqmi.broadcast, "broadcast_mi_upper", fail_at_two)
+    rep = chain_report(werner_state(0.5), FAST_CFG, ns=(1, 2, 3))
+    assert set(rep.entries) == CHAIN_ENTRIES | {"ib_per_copy_n1", "ib_per_copy_n3"}
+    assert rep.failures == {"ib_per_copy_n2": "no convergence at n=2"}
 
 
 @pytest.mark.parametrize("rho", [bell_state(), random_density(4, 4, seed=5)],

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) of the qcore tensor helpers, of the
-stacked kernels the solvers evaluate their restarts with, of the block
-isometry the constrained-state solver compresses with, of the bounds of the
-mutual information, and of the shared constrained-state solver, on small
-random layouts and states."""
+stacked kernels the solvers evaluate their restarts with (the entropy sum
+among them), of the block isometry the constrained-state solver compresses
+with, of the bounds of the mutual information, and of the shared
+constrained-state solver, on small random layouts and states."""
 
 import functools
 import math
@@ -23,12 +23,14 @@ from bqmi.optim import (
     solve_marginal_problem,
 )
 from bqmi.qcore import (
+    ENTROPY_CLAMP,
     DensityOperator,
     SubsystemLayout,
     expand_mat,
     mutual_information,
     partial_trace_mat,
     permute_factors,
+    shannon_entropy,
 )
 from bqmi.states import random_density
 
@@ -172,6 +174,26 @@ def test_block_isometry_matches_dense_kron(iso, batch, data):
         assert np.abs(g - v).max() <= 1e-12
     assert_slices_match(got, lambda k: [w.marginal(sig[k], keep), w.pull_back(lmat[k], keep),
                                         w.embed(sig[k]), w.compress(big[k])], batch)
+
+
+@FAST
+@given(st.integers(1, 16), BATCHES, st.integers(0, 2 ** 32 - 1))
+def test_stacked_entropy_with_clamped_entries_matches_single_calls(n, batch, seed):
+    # spectra with entries at or below ENTROPY_CLAMP: zeros, the clamp
+    # itself, and tiny or slightly negative eigenvalues
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n), size=batch)
+    clamped = rng.random(p.shape) < 0.4
+    p[clamped] = rng.choice([0.0, ENTROPY_CLAMP, 1e-15, -1e-17], size=clamped.sum())
+    s = shannon_entropy(p)
+    assert_slices_match([s], lambda k: [shannon_entropy(p[k])], batch)
+    for k in np.ndindex(batch):
+        kept = p[k][p[k] > ENTROPY_CLAMP]
+        want = -(kept * np.log2(kept)).sum()
+        # the clamped entries add exact zeros, which regroup numpy's pairwise
+        # sum: the two differ by a few units in the last place of an entropy
+        # of at most log2(16) = 4 bits
+        assert abs(s[k] - want) <= 1e-15 * max(1.0, want)
 
 
 @st.composite
