@@ -4,8 +4,9 @@ PPT-relaxed measured-correlation lower bound, and the inequality-chain
 report.
 
 The squashed and CEMI uppers are optim.solve_marginal_problem over a rho
-block and one free extension block; ecsq_upper and eic_lower run their own
-descent and projections.
+block and one free extension block; ecsq_upper runs optim.minimize_penalized
+without penalties on a measures.PovmParam, and eic_lower runs its own
+projected-gradient descent with Dykstra projections.
 
 All minimizations over ensembles/extensions report direction 'upper'; the
 measured-correlation bound reports 'lower' (the PPT set contains the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Povm, default_ic_povm, measure_statistics
+from .measures import Povm, PovmParam, default_ic_povm, measure_statistics
 from .optim import (
     SOLVER_FAILURES,
     BoundedValue,
@@ -28,14 +29,10 @@ from .optim import (
     PsdSet,
     TraceOneSet,
     check_param_cap,
-    dim_cap,
     dykstra_project,
     entropy_combo,
     minimize_penalized,
-    pack_complex,
-    psd_factor,
     solve_marginal_problem,
-    unpack_complex,
 )
 from .qcore import (
     LOG2E,
@@ -104,11 +101,11 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
     n_members is the ensemble size K; None selects rank(rho)².
 
     Ensembles are parameterized by a POVM on the purifying system (every
-    ensemble of rho arises this way); completeness is handled by a penalty
-    during optimization and restored exactly before the value is reported,
-    so the reported ensemble averages to rho by construction.  Raises
-    DimensionCapError when the 2 K r² parameters exceed those of the largest
-    joint solve BQ_MAX_DIM admits.
+    ensemble of rho arises this way), through measures.PovmParam: its
+    effects are complete at every step, so the descent has no penalty and
+    every ensemble it visits, the reported one included, averages to rho.
+    Raises DimensionCapError when the 2 K r² parameters exceed those of the
+    largest joint solve BQ_MAX_DIM admits.
     """
     lam, v = np.linalg.eigh(rho.mat)
     keep = lam > 1e-12
@@ -121,52 +118,25 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
     dims = rho.layout.dims
     a_idx = rho.layout.indices(rho.layout.side_labels("A"))
     b_idx = rho.layout.indices(rho.layout.side_labels("B"))
+    povm = PovmParam(r, k)
+    check_param_cap(povm.n_params, f"ecsq_upper with {k} members of rank {r}")
 
-    shape = (k, r, r)
-    n_par = 2 * k * r * r
-    check_param_cap(n_par, f"ecsq_upper with {k} members of rank {r}")
-
-    # The objective and the completeness penalty take a stack of parameter
-    # vectors (..., n_par), as minimize_penalized evaluates its restarts.
-    def members(g):
-        return g.conj().swapaxes(-1, -2) @ g  # M_k = G_k† G_k
-
+    # Members R_k = w E_k w†; the objective takes a stack of parameter
+    # vectors (..., n_params), as minimize_penalized evaluates its restarts.
     def objective(x):
-        g = unpack_complex(x, shape)
-        r_k = w @ members(g) @ w.conj().T
-        val, grads_r = _ensemble_objective_terms(r_k, dims, a_idx, b_idx)
-        gm = w.conj().T @ grads_r @ w
-        grad_g = 2.0 * g @ ((gm + gm.conj().swapaxes(-1, -2)) / 2)
-        return 0.5 * val, 0.5 * pack_complex(grad_g, shape)
+        effs, cache = povm.effects(x)
+        val, grads_r = _ensemble_objective_terms(w @ effs @ w.conj().T, dims, a_idx, b_idx)
+        return 0.5 * val, 0.5 * povm.grad_x(w.conj().T @ grads_r @ w, cache)
 
-    def completeness(x):
-        g = unpack_complex(x, shape)
-        dev = members(g).sum(-3) - np.eye(r)
-        sq = (dev.real ** 2 + dev.imag ** 2).sum((-2, -1))
-        return sq, pack_complex(4.0 * g @ dev[..., None, :, :], shape)
-
-    def init_from_povm_mats(mats):
-        g = np.zeros(shape, dtype=complex)
-        for i, m in enumerate(mats[:k]):
-            g[i] = psd_factor(m).conj().T
-        return pack_complex(g, shape)
-
+    eye = np.eye(r)
     inits = [
-        init_from_povm_mats([np.eye(r)]),  # trivial ensemble {rho}
-        init_from_povm_mats([np.outer(np.eye(r)[i], np.eye(r)[i]) for i in range(r)]),
+        povm.init_from_povm(Povm((eye,))),  # trivial ensemble {rho}
+        povm.init_from_povm(Povm(tuple(np.outer(e, e) for e in eye))),
     ]
-
-    opt = minimize_penalized(objective, [("completeness", completeness)],
-                             n_par, cfg, inits=inits)
-    # Exactify completeness, then evaluate the ensemble value exactly.
-    ms = members(unpack_complex(opt.argmin, shape))
-    s = ms.sum(0) + 1e-15 * np.eye(r)
-    ls, us = np.linalg.eigh(s)
-    inv_sqrt = (us * np.clip(ls, 1e-15, None) ** -0.5) @ us.conj().T
+    opt = minimize_penalized(objective, [], povm.n_params, cfg, inits=inits)
     kept = []
-    for m in ms:
-        mk = inv_sqrt @ m @ inv_sqrt
-        rk = w @ mk @ w.conj().T
+    for e in povm.effects(opt.argmin)[0]:
+        rk = w @ e @ w.conj().T
         p = rk.trace().real
         if p > 1e-12:
             kept.append((p, DensityOperator(rho.layout, (rk + rk.conj().T) / 2 / p)))
@@ -259,14 +229,18 @@ def classical_flag_extension(ens: Ensemble, kind="squashed",
     kind 'squashed': sum_k p_k rho_k x |k><k|_E, which makes I(A:B|E) the
     average member MI.  kind 'cemi': the flag is copied onto both primed
     registers, sum_k p_k rho_k x |k><k|_A' x |k><k|_B', so the primed MI
-    cancels the flag correlations exactly.  flag_dim pads the register(s)
-    beyond the member count when a fixed extension dimension is wanted.
+    cancels the flag correlations exactly.  flag_dim fixes the register
+    dimension: a larger one pads, and a smaller one keeps the flag_dim - 1
+    heaviest members on flags of their own and folds the rest into the last
+    flag value.  The folded ensemble still averages to rho, so the result
+    is an extension of rho either way.
     """
-    k = len(ens.members)
-    e = int(flag_dim) if flag_dim else k
-    if e < k:
-        raise ValidationError(f"flag dim {e} below member count {k}")
-    d = ens.layout.dim
+    blocks = [p * mem.mat for p, mem in ens.members]  # p_k rho_k
+    e = int(flag_dim) if flag_dim else len(blocks)
+    if len(blocks) > e:
+        order = np.argsort(-ens.probabilities(), kind="stable")
+        heavy = sorted(order[:e - 1])
+        blocks = [blocks[i] for i in heavy] + [sum(blocks[i] for i in order[e - 1:])]
     if kind == "squashed":
         extra = (("E", e),)
     elif kind == "cemi":
@@ -275,13 +249,13 @@ def classical_flag_extension(ens: Ensemble, kind="squashed",
         raise ValidationError(f"unknown extension kind {kind!r}")
     layout = _extension_layout(ens.average(), extra)
     m = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for i, (p, mem) in enumerate(ens.members):
+    for i, block in enumerate(blocks):
         flag = np.zeros((e, e))
         flag[i, i] = 1.0
-        block = np.kron(mem.mat, flag)
+        block = np.kron(block, flag)
         if kind == "cemi":
             block = np.kron(block, flag)
-        m += p * block
+        m += block
     return DensityOperator(layout, m)
 
 
@@ -403,16 +377,18 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     except skipped as e:
         failed("ecsq", "2ecsq", e)
 
-    dim_e = max(rho.dim, len(ensemble.members) if ensemble else 0)
-    dim_p = max(2, len(ensemble.members) if ensemble else 0)
+    # The flag registers have fixed sizes, whatever the ensemble's: E as large
+    # as rho and A', B' qubits.  An ensemble of up to rank(rho)² members would
+    # otherwise make esq a d·K solve and cemi's joint grow as K², past
+    # BQ_MAX_DIM; classical_flag_extension folds the lightest members into
+    # the last flag value instead.
+    dim_e = rho.dim
+    dim_p = 2
     esq_warm = []
     cemi_warm = []
     if ensemble is not None:
         esq_warm.append(classical_flag_extension(ensemble, "squashed", dim_e))
-        if dim_p ** 2 * rho.dim <= dim_cap():
-            cemi_warm.append(classical_flag_extension(ensemble, "cemi", dim_p))
-        else:
-            dim_p = 2
+        cemi_warm.append(classical_flag_extension(ensemble, "cemi", dim_p))
 
     da, db = rho.layout.side_dims()
     tasks = {

@@ -24,9 +24,11 @@ from bqmi.qcore import (
     binary_entropy,
     bipartite_layout,
     mutual_information,
+    partial_trace_mat,
     trace_distance,
 )
 from bqmi.states import (
+    Ensemble,
     StateSpec,
     bell_state,
     canonical_ensembles,
@@ -80,6 +82,12 @@ def test_ecsq_cc_vanishes():
     assert ecsq_upper(cc_state([[0.5, 0], [0, 0.5]]), None, CFG).value <= 1e-6
 
 
+@pytest.mark.parametrize("p", [0.2, 1 / 3], ids=["0.2", "1/3"])
+def test_ecsq_separable_werner_vanishes(p):
+    # werner p <= 1/3 is separable, so some ensemble has product members
+    assert ecsq_upper(werner_state(p), None, CFG).value <= 1e-3
+
+
 def test_ecsq_schmidt_matches_binary_entropy():
     lam2 = 0.8536
     bv = ecsq_upper(schmidt_state(lam2), None, ECSQ_CFG)
@@ -120,6 +128,32 @@ def test_esq_separable_with_flag_warm_start():
     flag = classical_flag_extension(ens, "squashed")
     bv = esq_upper(product_mix_state(), 2, CFG, warm_starts=[flag])
     assert bv.value <= 1e-3
+
+
+@pytest.mark.parametrize("kind", ["squashed", "cemi"])
+def test_flag_extension_folds_the_lightest_members(kind):
+    probs = [0.1, 0.3, 0.05, 0.4, 0.15]
+    ens = Ensemble(tuple((p, random_density(4, 4, seed=s))
+                         for s, p in enumerate(probs)))
+    rho = ens.average()
+    flag_dim = 3
+    ext = classical_flag_extension(ens, kind, flag_dim)
+    n_reg = 1 if kind == "squashed" else 2
+    assert ext.layout.dims == rho.layout.dims + (flag_dim,) * n_reg
+    marginal = partial_trace_mat(ext.mat, ext.layout.dims, (0, 1))
+    assert np.abs(marginal - rho.mat).max() < 1e-12
+    # the p_k rho_k block on flag value i (on both primed registers for cemi)
+    m = ext.mat.reshape((4,) + (flag_dim,) * n_reg + (4,) + (flag_dim,) * n_reg)
+    if kind == "squashed":
+        blocks = [m[:, i, :, i] for i in range(flag_dim)]
+    else:
+        blocks = [m[:, i, i, :, i, i] for i in range(flag_dim)]
+    members = [p * mem.mat for p, mem in ens.members]
+    heaviest = [1, 3]  # weights 0.3 and 0.4 keep flags of their own
+    for i, k in enumerate(heaviest):
+        assert np.abs(blocks[i] - members[k]).max() < 1e-15
+    folded = sum(members[k] for k in (0, 2, 4))
+    assert np.abs(blocks[-1] - folded).max() < 1e-15
 
 
 def test_esq_large_rank_deficient_block_stays_small():
@@ -252,6 +286,24 @@ def test_chain_report_after_a_failed_copy_count(monkeypatch):
     rep = chain_report(werner_state(0.5), FAST_CFG, ns=(1, 2, 3))
     assert set(rep.entries) == CHAIN_ENTRIES | {"ib_per_copy_n1", "ib_per_copy_n3"}
     assert rep.failures == {"ib_per_copy_n2": "no convergence at n=2"}
+
+
+def test_chain_report_flag_registers_have_fixed_sizes(monkeypatch):
+    # however many members ecsq's ensemble has, E is as large as rho and the
+    # primed registers are qubits, each with the folded flag warm start
+    calls = {}
+
+    def spy(name, real):
+        def wrapped(rho, dim, cfg, warm_starts=None):
+            calls[name] = (dim, len(warm_starts))
+            return real(rho, dim, cfg, warm_starts=warm_starts)
+        return wrapped
+
+    monkeypatch.setattr(bqmi.entms, "esq_upper", spy("esq", esq_upper))
+    monkeypatch.setattr(bqmi.entms, "cemi_upper", spy("cemi", cemi_upper))
+    rep = chain_report(product_mix_state(), CFG)
+    assert calls == {"esq": (4, 1), "cemi": (2, 1)}
+    assert rep.verdict == "consistent"
 
 
 @pytest.mark.parametrize("rho", [bell_state(), random_density(4, 4, seed=5)],
