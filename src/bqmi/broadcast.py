@@ -19,6 +19,7 @@ import numpy as np
 
 from .optim import BoundedValue, OptimizerConfig, solve_marginal_problem
 from .qcore import (
+    PAULI,
     DensityOperator,
     ValidationError,
     expand_mat,
@@ -104,10 +105,11 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
 def sweep_warm_starts(rho: DensityOperator, n: int, prev, ensemble):
     """The warm starts of the n-copy solve in a sweep over copy counts:
     prev (x) rho, when prev, the BroadcastState of the sweep's last solve,
-    has n - 1 copies, and the de Finetti state of ensemble, when one is
-    given and n > 1.  A generator, so that broadcast_mi_upper builds them
-    only after its dimension check."""
-    if prev is not None and prev.n == n - 1:
+    has n - 1 >= 2 copies (at n = 2 it would be rho (x) rho, the product
+    candidate solve_marginal_problem always seeds first), and the de
+    Finetti state of ensemble, when one is given and n > 1.  A generator,
+    so that broadcast_mi_upper builds them only after its dimension check."""
+    if prev is not None and n >= 3 and prev.n == n - 1:
         yield np.kron(prev.joint.mat, rho.mat)
     if ensemble is not None and n > 1:
         yield definetti_broadcast(ensemble, n).mat
@@ -193,24 +195,8 @@ def depolarizing_kraus(q, dim=2):
     """Kraus operators of the qubit depolarizing channel with strength q."""
     if dim != 2:
         raise ValidationError("depolarizing_kraus only implemented for qubits")
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return [
-        math.sqrt(1 - 3 * q / 4) * np.eye(2, dtype=complex),
-        math.sqrt(q / 4) * sx,
-        math.sqrt(q / 4) * sy,
-        math.sqrt(q / 4) * sz,
-    ]
-
-
-def apply_channel_to_factor(mat, dims, kraus, idx):
-    """Apply a single-factor channel (Kraus list) at factor position idx."""
-    out = np.zeros_like(mat, dtype=complex)
-    for k in kraus:
-        kf = expand_mat(k, dims, (idx,))
-        out += kf @ mat @ kf.conj().T
-    return out
+    return [math.sqrt(1 - 3 * q / 4) * np.eye(2, dtype=complex)] + [
+        math.sqrt(q / 4) * s for s in PAULI]
 
 
 def apply_local_channels(rho: DensityOperator, kraus_by_label) -> DensityOperator:
@@ -218,8 +204,8 @@ def apply_local_channels(rho: DensityOperator, kraus_by_label) -> DensityOperato
     m = rho.mat
     dims = rho.layout.dims
     for lab, kraus in kraus_by_label.items():
-        idx = rho.layout.indices((lab,))[0]
-        m = apply_channel_to_factor(m, dims, kraus, idx)
+        kfs = [expand_mat(k, dims, rho.layout.indices((lab,))) for k in kraus]
+        m = sum(kf @ m @ kf.conj().T for kf in kfs)
     return DensityOperator(rho.layout, m)
 
 

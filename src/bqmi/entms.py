@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Povm, PovmParam, default_ic_povm, measure_statistics
+from .measures import Povm, PovmParam, default_ic_povm, local_statistics, measure_statistics
 from .optim import (
+    PENALTY_SCHEDULE,
     SOLVER_FAILURES,
     BoundedValue,
     DimensionCapError,
@@ -41,13 +42,9 @@ from .qcore import (
     ValidationError,
     mutual_information,
     shannon_entropy,
-    tensor,
     trace_distance,
 )
 from .states import Ensemble
-
-# Projected-gradient steps of eic_lower.
-EIC_MAX_ITERS = 2000
 
 
 @dataclass
@@ -274,9 +271,15 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     one; the reported value additionally subtracts a 10x gradient-mapping
     safety margin (floored at 0).
 
-    The descent takes at most EIC_MAX_ITERS steps whatever cfg says: cfg is
-    accepted for a signature like the other solvers' but not read.
+    The descent takes at most len(PENALTY_SCHEDULE) * cfg.max_iters steps,
+    the steps of one restart of the other solvers.  Both statistics tables
+    and the gradient are contracted one side at a time
+    (measures.local_statistics), so no M_i (x) N_j is formed.  Raises
+    DimensionCapError when sigma's 2 d² parameters exceed the cap's, the
+    rule of a joint solve of dimension d.
     """
+    d = rho.dim
+    check_param_cap(2 * d * d, f"eic_lower on a {d}-dim state")
     ic = m.gram_rank() == m.dim ** 2 and n.gram_rank() == n.dim ** 2
     if not ic:
         warnings.warn("POVMs are not informationally complete; the bound's "
@@ -284,18 +287,17 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     p = measure_statistics(rho, m, n).p
     # sigma lives in rho's A-first coordinates (a_first_mat), where the
     # effects are M_i (x) N_j and the partial transpose acts on factor 1.
-    ops = np.array([tensor(mi, nj) for mi in m.effects for nj in n.effects])
-    pf = p.ravel()
-    d = rho.dim
+    effs_a, effs_b = np.array(m.effects), np.array(n.effects)
+    mask = p > 1e-15
     sets = [PsdSet(), PptSet((m.dim, n.dim), (1,)), TraceOneSet()]
 
     def f_and_grad(sig):
-        q = np.einsum("kij,ji->k", ops, sig).real
-        q = np.clip(q, 1e-15, None)
-        mask = pf > 1e-15
-        val = float((pf[mask] * (np.log2(pf[mask]) - np.log2(q[mask]))).sum())
-        coef = np.where(mask, pf / q, 0.0) * LOG2E
-        grad = -np.einsum("k,kij->ij", coef, ops)
+        q = np.clip(local_statistics(sig, effs_a, effs_b)[0], 1e-15, None)
+        val = float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
+        coef = np.where(mask, p / q, 0.0) * LOG2E
+        # -sum_ij coef_ij M_i (x) N_j: coef into the A effects, then against N_j
+        ca = np.einsum("ij,iac->jac", coef, effs_a)
+        grad = -np.einsum("jac,jbd->abcd", ca, effs_b).reshape(d, d)
         return val, (grad + grad.conj().T) / 2
 
     sigma = dykstra_project(np.eye(d, dtype=complex) / d, sets, tol=1e-10)
@@ -303,7 +305,7 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     t = 1.0
     gmap = np.inf
     it = 0
-    for it in range(1, EIC_MAX_ITERS + 1):
+    for it in range(1, len(PENALTY_SCHEDULE) * cfg.max_iters + 1):
         accepted = False
         for _ in range(40):
             cand = dykstra_project(sigma - t * grad, sets, tol=1e-11)

@@ -17,12 +17,12 @@ from .optim import (
     unpack_complex,
 )
 from .qcore import (
+    PAULI,
     DensityOperator,
     ValidationError,
     a_first_mat,
     mutual_information,
     shannon_entropy,
-    tensor,
 )
 
 EFFECT_PSD_TOL = 1e-9
@@ -85,6 +85,17 @@ class JointDistribution:
         object.__setattr__(self, "p", p)
 
 
+def local_statistics(x, effs_a, effs_b):
+    """p_ij = Tr[(M_i x N_j) X] for an operator X with its A factors first
+    (a_first_mat), together with the Tr_B[(I x N_j) X] it is taken from;
+    no M_i x N_j is formed.  effs_a and effs_b are (k, d, d) effect stacks,
+    or stacks of them (..., k, d, d) that give one table per set."""
+    da, db = effs_a.shape[-1], effs_b.shape[-1]
+    rt_b = np.einsum("...jbc,acdb->...jad", effs_b, x.reshape(da, db, da, db))
+    p = np.einsum("...iab,...jba->...ij", effs_a, rt_b).real
+    return p, rt_b
+
+
 def measure_statistics(rho: DensityOperator, m: Povm, n: Povm) -> JointDistribution:
     """Outcome distribution p_ij = Tr[(M_i x N_j) rho] for local POVMs, M on
     the A side and N on the B side."""
@@ -92,11 +103,8 @@ def measure_statistics(rho: DensityOperator, m: Povm, n: Povm) -> JointDistribut
     if m.dim != da or n.dim != db:
         raise ValidationError(
             f"POVM dims ({m.dim},{n.dim}) do not match sides ({da},{db})")
-    p = np.empty((len(m), len(n)))
-    for i, mi in enumerate(m.effects):
-        for j, nj in enumerate(n.effects):
-            p[i, j] = np.vdot(tensor(mi, nj), rho_ab).real
-    return JointDistribution(p)
+    return JointDistribution(local_statistics(rho_ab, np.array(m.effects),
+                                              np.array(n.effects))[0])
 
 
 def classical_mi_fixed(dist: JointDistribution) -> float:
@@ -113,9 +121,7 @@ def _tetrahedral_sic():
         (-1, 1, -1),
         (-1, -1, 1),
     ]
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    sx, sy, sz = PAULI
     effs = []
     for v in verts:
         vv = np.array(v) / np.sqrt(3)
@@ -212,12 +218,9 @@ def _classical_mi_and_grads(rho_ab, effs_a, effs_b):
     its A factors first (a_first_mat).  Stacks of effect sets (..., k, d, d)
     give one value and one pair of gradients per set."""
     da, db = effs_a.shape[-1], effs_b.shape[-1]
-    r4 = rho_ab.reshape(da, db, da, db)
-    # rho reduced against each B effect and vice versa:
-    # Tr_B[(I x N_j) rho] and Tr_A[(M_i x I) rho].
-    rt_b = np.einsum("...jbc,acdb->...jad", effs_b, r4)
-    rt_a = np.einsum("...iac,cbad->...ibd", effs_a, r4)
-    p = np.einsum("...iab,...jba->...ij", effs_a, rt_b).real
+    # p_ij with Tr_B[(I x N_j) rho], and Tr_A[(M_i x I) rho] likewise.
+    p, rt_b = local_statistics(rho_ab, effs_a, effs_b)
+    rt_a = np.einsum("...iac,cbad->...ibd", effs_a, rho_ab.reshape(da, db, da, db))
     p = np.clip(p, 1e-15, None)
     pa = p.sum(-1)
     pb = p.sum(-2)

@@ -133,12 +133,23 @@ class BoundedValue:
         }
 
 
-def _descend(x, max_iters):
-    """Backtracking gradient descent from x, written as a generator: it
-    yields each point it wants evaluated and is sent that point's (f, grad).
-    Returns (x, f, iterations, converged); the accepted-objective trace is
-    monotone."""
-    f, g = yield x
+def _weigh(val, w):
+    """f + w * sum(c) and its gradient, from one evaluation's objective and
+    constraint values (f, grad, [(c, grad c), ...])."""
+    f, g, cons = val
+    for cv, cg in cons:
+        f = f + w * cv
+        g = g + w * cg
+    return f, g
+
+
+def _descend(x, max_iters, w):
+    """Backtracking gradient descent from x at penalty weight w, written as
+    a generator: it yields each point it wants evaluated and is sent that
+    point's unweighted (f, grad, [(value, grad), ...]), which it weighs
+    itself.  Returns (x, penalized f, iterations, converged); the
+    accepted-objective trace is monotone."""
+    f, g = _weigh((yield x), w)
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at start")
     t = STEP_INIT
@@ -150,7 +161,7 @@ def _descend(x, max_iters):
         moved = False
         for _ in range(40):
             xn = x - t * g
-            fn, gn = yield xn
+            fn, gn = _weigh((yield xn), w)
             if np.isnan(fn):
                 raise FloatingPointError("objective NaN during line search")
             if fn <= f - 1e-4 * t * gnorm2:
@@ -169,25 +180,11 @@ def _descend(x, max_iters):
 
 def _restart(x, cfg):
     """One restart: a _descend per penalty stage, then one evaluation at the
-    optimum.  A generator like _descend, but it is sent the objective's and
-    every constraint's values unweighted, as (f, grad, [(value, grad), ...]),
-    and weighs them itself.  Returns (penalized value, x, objective value,
-    constraint values, converged, iterations)."""
+    optimum.  A generator like _descend.  Returns (penalized value, x,
+    objective value, constraint values, converged, iterations)."""
     total, converged, f_pen = 0, True, np.inf
     for w in PENALTY_SCHEDULE:
-        stage = _descend(x, cfg.max_iters)
-        point = next(stage)
-        while True:
-            f, g, cons = yield point
-            for cv, cg in cons:
-                f = f + w * cv
-                g = g + w * cg
-            del cons  # rows of the round's stacked arrays, which can now go
-            try:
-                point = stage.send((f, g))
-            except StopIteration as stop:
-                x, f_pen, it, conv = stop.value
-                break
+        x, f_pen, it, conv = yield from _descend(x, cfg.max_iters, w)
         total += it
         converged = converged and conv
     f_obj, _, cons = yield x
@@ -262,19 +259,18 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     return results[0][2]
 
 
-def finite_diff_check(fun, x, h=1e-5, max_coords=None, seed=0):
+def finite_diff_check(fun, x, max_coords=None):
     """Max relative error between fun's gradient and central differences.
 
     Checks every coordinate, or a random subsample of at least 64 for large
     problems when max_coords is given.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"step h={h!r} outside [1e-7, 1e-3]")
+    h = 1e-5
     x = np.asarray(x, dtype=float)
     _, g = fun(x)
     coords = np.arange(x.size)
     if max_coords is not None and x.size > max_coords:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         coords = rng.choice(x.size, size=min(x.size, max(64, max_coords)),
                             replace=False)
     scale = max(1e-8, float(np.abs(g).max()))

@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG2E = np.log2(np.e)
+# The Pauli matrices X, Y, Z.
+PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]], dtype=complex),
+         np.array([[1, 0], [0, -1]], dtype=complex))
 
 # Validation tolerances for density operators.
 HERMITICITY_TOL = 1e-10

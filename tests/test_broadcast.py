@@ -8,6 +8,7 @@ from bqmi.broadcast import (
     definetti_upper,
     depolarizing_kraus,
     growth_curve,
+    sweep_warm_starts,
 )
 from bqmi.optim import DimensionCapError, OptimizerConfig, dim_cap
 from bqmi.qcore import mutual_information, partial_trace_mat, trace_distance
@@ -125,6 +126,14 @@ def test_dimension_cap_enforced(monkeypatch):
     assert dim_cap() == 8
     with pytest.raises(DimensionCapError, match="cap"):
         broadcast_mi_upper(bell_state(), 2, CFG)
+
+
+def test_sweep_warm_starts_leave_out_the_product_at_two_copies():
+    # prev (x) rho at n = 2 is rho (x) rho, the product candidate that every
+    # broadcast solve already seeds first
+    rho = random_density(4, 4, seed=0)
+    prev = broadcast_mi_upper(rho, 1, CFG).diagnostics["broadcast_state"]
+    assert list(sweep_warm_starts(rho, 2, prev, None)) == []
 
 
 def test_broadcast_accepts_user_warm_start():

@@ -11,7 +11,7 @@ import bqmi.cli
 import bqmi.entms
 from bqmi.cli import main
 from bqmi.entms import ChainReport
-from bqmi.states import load_state
+from bqmi.states import load_state, random_density, save_state
 
 
 def run(argv):
@@ -106,6 +106,14 @@ def test_measure_extension_cap_exits_4(tmp_path, monkeypatch, argv):
     run(["state", "--family", "bell", "--out", str(bell)])
     monkeypatch.setenv("BQ_MAX_DIM", "8")
     assert run(["measure", "--in", str(bell), *argv]) == 4
+
+
+def test_measure_eiclower_cap_exits_4(tmp_path, monkeypatch):
+    # the CLI's random family splits 16 as 2 x 8; this state is 4 x 4
+    path = tmp_path / "r.json"
+    save_state(str(path), random_density(16, 16, seed=0, dims=(4, 4)))
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    assert run(["measure", "--in", str(path), "--measure", "eiclower"]) == 4
 
 
 @pytest.mark.parametrize("argv", [["--measure", "esq", "--dim-e", "0"],

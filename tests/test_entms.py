@@ -221,6 +221,24 @@ def test_eic_entangled_werner_matches_oracle(p, key):
     assert bv.value > 1e-4
 
 
+def test_eic_takes_its_step_budget_from_cfg():
+    # one restart's budget: len(PENALTY_SCHEDULE) * max_iters = 8 steps,
+    # where the descent on this state stops by itself after 27
+    sic = default_ic_povm(2)
+    bv = eic_lower(random_density(4, 2, seed=100), sic, sic,
+                   OptimizerConfig(restarts=1, max_iters=2))
+    assert bv.diagnostics["iterations"] <= 8
+
+
+def test_eic_dimension_cap_enforced(monkeypatch):
+    # at cap 8 a joint solve has at most 2 * 8² = 128 parameters, and a
+    # 16-dim sigma has 2 * 16²
+    monkeypatch.setenv("BQ_MAX_DIM", "8")
+    p4 = default_ic_povm(4)
+    with pytest.raises(DimensionCapError, match="512 parameters"):
+        eic_lower(random_density(16, 16, seed=0, dims=(4, 4)), p4, p4, CFG)
+
+
 def test_eic_warns_on_incomplete_povm():
     proj = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     with pytest.warns(UserWarning, match="informationally complete"):

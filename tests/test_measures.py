@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import bqmi.entms
 from bqmi.entms import eic_lower
 from bqmi.measures import (
     JointDistribution,
@@ -11,6 +10,7 @@ from bqmi.measures import (
     classical_mi_fixed,
     classical_mi_max,
     default_ic_povm,
+    local_statistics,
     measure_statistics,
 )
 from bqmi.optim import DimensionCapError, OptimizerConfig, finite_diff_check
@@ -170,6 +170,20 @@ def test_classical_mi_terms_match_per_effect_kron_loop(da, db):
     assert abs(val - (p * log_ratio).sum()) < 1e-12
     assert np.abs(grad_a - np.einsum("ij,jab->iab", log_ratio, rt_b)).max() < 1e-12
     assert np.abs(grad_b - np.einsum("ij,iab->jab", log_ratio, rt_a)).max() < 1e-12
+    # the shared statistics on a random Hermitian X, and measure_statistics
+    # on rho, against Tr[(M_i x N_j) X] effect by effect
+    g = rng.standard_normal((2, da * db, da * db))
+    x = g[0] + 1j * g[1]
+    x = x + x.conj().T
+    p_x, rt_x = local_statistics(x, ea, eb)
+    assert np.abs(p_x - np.array([[np.trace(np.kron(mi, nj) @ x).real for nj in eb]
+                                  for mi in ea])).max() < 1e-12
+    assert np.abs(rt_x - np.array([partial_trace_mat(np.kron(np.eye(da), nj) @ x, (da, db), (0,))
+                                   for nj in eb])).max() < 1e-12
+    kron_p = np.array([[np.trace(np.kron(mi, nj) @ rho).real for nj in eb] for mi in ea])
+    state = DensityOperator(bipartite_layout(da, db), rho)
+    stats = measure_statistics(state, Povm(tuple(ea)), Povm(tuple(eb)))
+    assert np.abs(stats.p - kron_p).max() < 1e-12
 
 
 def test_classical_mi_max_uses_analytic_gradient():
@@ -205,7 +219,7 @@ def test_side_order_of_the_layout_does_not_change_statistics():
                       - measure_statistics(swapped, m, n).p).max() < 1e-12
 
 
-def test_interleaved_layout_agrees_with_its_a_first_permutation(monkeypatch):
+def test_interleaved_layout_agrees_with_its_a_first_permutation():
     # factors A, B, A' interleave the sides; A, A', B lists A's first
     rho = random_density(8, 1, seed=0, dims=(4, 2))
     sides = {"A": "A", "B": "B", "A'": "A"}
@@ -214,9 +228,9 @@ def test_interleaved_layout_agrees_with_its_a_first_permutation(monkeypatch):
                             permute_factors(rho.mat, (2, 2, 2), (0, 2, 1)))
     cfg = OptimizerConfig(restarts=1, max_iters=20)
     m, n = default_ic_povm(4), default_ic_povm(2)
-    # a few steps keep this quick; the KL objective they reach is already > 0
-    monkeypatch.setattr(bqmi.entms, "EIC_MAX_ITERS", 10)
-    e1, e2 = eic_lower(a_first, m, n, cfg), eic_lower(inter, m, n, cfg)
+    # 4 x 3 = 12 steps keep this quick; the KL objective they reach is already > 0
+    eic_cfg = OptimizerConfig(restarts=1, max_iters=3)
+    e1, e2 = eic_lower(a_first, m, n, eic_cfg), eic_lower(inter, m, n, eic_cfg)
     f1, f2 = e1.diagnostics["objective"], e2.diagnostics["objective"]
     assert f1 > 1e-3 and abs(f1 - f2) < 1e-12 and e1.value == e2.value
     c1, c2 = classical_mi_max(a_first, 4, cfg), classical_mi_max(inter, 4, cfg)
