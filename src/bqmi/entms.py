@@ -25,10 +25,10 @@ from .optim import (
     SOLVER_FAILURES,
     BoundedValue,
     DimensionCapError,
+    MarginalSet,
     OptimizerConfig,
     PptSet,
     PsdSet,
-    TraceOneSet,
     check_param_cap,
     dykstra_project,
     entropy_combo,
@@ -229,11 +229,12 @@ def classical_flag_extension(ens: Ensemble, kind="squashed",
     cancels the flag correlations exactly.  flag_dim fixes the register
     dimension: a larger one pads, and a smaller one keeps the flag_dim - 1
     heaviest members on flags of their own and folds the rest into the last
-    flag value.  The folded ensemble still averages to rho, so the result
-    is an extension of rho either way.
+    flag value; None, the default, gives every member a flag of its own.
+    The folded ensemble still averages to rho, so the result is an
+    extension of rho either way.
     """
     blocks = [p * mem.mat for p, mem in ens.members]  # p_k rho_k
-    e = int(flag_dim) if flag_dim else len(blocks)
+    e = len(blocks) if flag_dim is None else int(flag_dim)
     if len(blocks) > e:
         order = np.argsort(-ens.probabilities(), kind="stable")
         heavy = sorted(order[:e - 1])
@@ -289,7 +290,7 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
     # effects are M_i (x) N_j and the partial transpose acts on factor 1.
     effs_a, effs_b = np.array(m.effects), np.array(n.effects)
     mask = p > 1e-15
-    sets = [PsdSet(), PptSet((m.dim, n.dim), (1,)), TraceOneSet()]
+    sets = [PsdSet(), PptSet((m.dim, n.dim), (1,)), MarginalSet((m.dim, n.dim), [((), np.eye(1))])]
 
     def f_and_grad(sig):
         q = np.clip(local_statistics(sig, effs_a, effs_b)[0], 1e-15, None)
@@ -300,7 +301,7 @@ def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
         grad = -np.einsum("jac,jbd->abcd", ca, effs_b).reshape(d, d)
         return val, (grad + grad.conj().T) / 2
 
-    sigma = dykstra_project(np.eye(d, dtype=complex) / d, sets, tol=1e-10)
+    sigma = np.eye(d, dtype=complex) / d  # in every set
     f, grad = f_and_grad(sigma)
     t = 1.0
     gmap = np.inf

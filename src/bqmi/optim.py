@@ -286,7 +286,8 @@ def finite_diff_check(fun, x, max_coords=None):
 
 
 # ---------------------------------------------------------------------------
-# Convex sets for Dykstra projections.
+# Convex sets for Dykstra projections: the PSD cone, its partial transpose
+# and the affine set of fixed marginals (the trace among them).
 
 
 class PsdSet:
@@ -322,65 +323,62 @@ class PptSet(PsdSet):
         return super().residual(partial_transpose_mat(x, self.dims, self.axes))
 
 
-class TraceOneSet:
-    """Affine set {X : Tr X = 1}."""
-
-    name = "trace-one"
-
-    def project(self, x):
-        d = x.shape[0]
-        return x - ((x.trace() - 1.0) / d) * np.eye(d)
-
-    def residual(self, x):
-        return float(abs(x.trace() - 1.0))
-
-
 class MarginalSet:
-    """Affine set {X : Tr_{others} X = target on the kept factors}."""
+    """Affine set {X : Tr_rest X = t_k on the kept factors keep_k, for every
+    (keep_k, t_k) in targets}; keep_k = () fixes the trace to t_k[0, 0].
 
-    def __init__(self, dims, keep_idx, target, name="marginal"):
+    project takes the projection onto each fixed marginal in turn.  For
+    disjoint kept groups whose targets share one trace, that is the exact
+    projection onto their intersection: the first step sets the trace, so
+    every later correction is traceless on the factors it does not keep and
+    leaves the earlier marginals as they are."""
+
+    name = "marginal"
+
+    def __init__(self, dims, targets):
         self.dims = tuple(dims)
-        self.keep_idx = tuple(keep_idx)
-        self.target = np.asarray(target, dtype=complex)
-        self.name = name
-        self._d_others = math.prod(self.dims) // self.target.shape[0]
+        self.targets = [(tuple(keep), np.asarray(t, dtype=complex)) for keep, t in targets]
 
-    def _deviation(self, x):
-        return partial_trace_mat(x, self.dims, self.keep_idx) - self.target
+    def _deviations(self, x):
+        return [(keep, partial_trace_mat(x, self.dims, keep) - t) for keep, t in self.targets]
 
     def project(self, x):
-        dev = self._deviation(x)
-        return x - expand_mat(dev, self.dims, self.keep_idx) / self._d_others
+        d = math.prod(self.dims)
+        for keep, t in self.targets:
+            dev = partial_trace_mat(x, self.dims, keep) - t
+            x = x - expand_mat(dev, self.dims, keep) / (d // t.shape[0])
+        return x
 
     def residual(self, x):
-        return float(np.linalg.norm(self._deviation(x)))
+        """The largest Frobenius deviation of a fixed marginal."""
+        return max(float(np.linalg.norm(dev)) for _, dev in self._deviations(x))
 
     def penalty(self, x):
-        """Squared Frobenius deviation of the marginal and its matrix
-        gradient 2 (dev (x) I).  A stack x (..., d, d) gives one of each per
-        matrix."""
-        dev = self._deviation(x)
-        sq = (dev.real ** 2 + dev.imag ** 2).sum((-2, -1))
-        return sq, 2.0 * expand_mat(dev, self.dims, self.keep_idx)
+        """The summed squared Frobenius deviation of the fixed marginals and
+        its matrix gradient 2 sum_k (dev_k (x) I).  A stack x (..., d, d)
+        gives one of each per matrix."""
+        devs = self._deviations(x)
+        sq = sum((dev.real ** 2 + dev.imag ** 2).sum((-2, -1)) for _, dev in devs)
+        return sq, 2.0 * sum(expand_mat(dev, self.dims, keep) for keep, dev in devs)
 
 
 def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
     """Dykstra's alternating projection onto the intersection of convex sets.
 
-    Each set must expose project(X) and residual(X).  Returns a Hermitian
-    matrix whose residual against every set is at most tol.  Raises
-    RuntimeError with the final residuals on non-convergence.
+    Each set must expose name, project(X) and residual(X).  Returns a
+    Hermitian matrix whose residual against every set is at most tol.
+    Raises RuntimeError with every set's final residual on non-convergence.
     """
     x = np.asarray(x, dtype=complex)
     x = (x + x.conj().T) / 2
     corrections = [np.zeros_like(x) for _ in sets]
     for _ in range(max_sweeps):
         for i, s in enumerate(sets):
-            y = s.project(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
-        res = {s.name: s.residual(x) for s in sets}
-        if max(res.values()) <= tol:
+            z = x + corrections[i]
+            x = s.project(z)
+            corrections[i] = z - x
+        res = [(s.name, s.residual(x)) for s in sets]  # a list: names may repeat
+        if max(r for _, r in res) <= tol:
             return (x + x.conj().T) / 2
     raise RuntimeError(f"dykstra_project did not converge; residuals {res}")
 
@@ -621,17 +619,21 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
 
     Any PSD joint with these marginals lives in the product of the targets'
     supports, the range of W = (x) (support basis of each block), so the
-    whole solve runs there: the penalized DensityParam descent from the
-    compressed candidates, then the Dykstra projection of its optimum and of
-    every candidate, where each target is full rank and the product
-    candidate is an interior point.  W is a BlockIsometry, applied block by
-    block to compress the candidates, to take the marginal entropies and
-    their gradients (entropy_combo) and to embed the projected joints back;
-    no full-space matrix of W is formed.  Free and full-rank blocks have the
-    identity as their basis, so a full-rank problem runs the same code on
-    the whole space.  The feasible embedded joint with the lowest exact
-    value is returned.  Raises DimensionCapError above the cap and
-    RuntimeError when no candidate meets TOL_RESIDUAL.
+    whole solve runs there, where each target is full rank and the product
+    candidate is an interior point.  All fixed marginals form one
+    constraint, a MarginalSet over the compressed blocks.  The DensityParam
+    descent from the compressed candidates takes it as its one penalty, so
+    each point costs two pull-backs (objective and penalty); the Dykstra
+    projection of the descent's optimum and of every candidate alternates
+    between the PSD cone and that set, whose marginals fix the trace.  W is
+    a BlockIsometry, applied block by block to compress the candidates, to
+    take the marginal entropies and their gradients (entropy_combo) and to
+    embed the projected joints back; no full-space matrix of W is formed.
+    Free and full-rank blocks have the identity as their basis, so a
+    full-rank problem runs the same code on the whole space.  The feasible
+    embedded joint with the lowest exact value is returned.  Raises
+    DimensionCapError above the cap and RuntimeError when no candidate meets
+    TOL_RESIDUAL.
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
     d = math.prod(dims)
@@ -669,11 +671,12 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
         cands.append(w.compress(c))
 
-    msets = [MarginalSet(w.cdims, (k,), t, name=f"marginal_{k + 1}") for k, t in compressed]
+    # With no fixed block, the trace is the one constraint.
+    marginals = MarginalSet(w.cdims, [((k,), t) for k, t in compressed] or [((), np.eye(1))])
     par = DensityParam(math.prod(w.cdims))
-    # minimize_penalized evaluates the objective and then every penalty on
-    # the same stack of points, so one stacked sigma serves them all.  The
-    # cache holds that stack (nothing mutates it in place) and its results.
+    # minimize_penalized evaluates the objective and then the penalty on the
+    # same stack of points, so one stacked sigma serves both.  The cache
+    # holds that stack (nothing mutates it in place) and its results.
     last = [None, None]
 
     def evaluate(x):
@@ -681,21 +684,15 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
             last[:] = [None, None]  # free the previous round's gradients first
             s, cache = par.sigma(x)
             f, fmat = entropy_combo(s, dims, terms, w)
-            out = [(f, par.grad_x(fmat, s, cache))]
-            for m in msets:
-                cv, cg = m.penalty(s)
-                out.append((cv, par.grad_x(cg, s, cache)))
-            last[:] = [x, out]
+            cv, cg = marginals.penalty(s)
+            last[:] = [x, [(f, par.grad_x(fmat, s, cache)), (cv, par.grad_x(cg, s, cache))]]
         return last[1]
 
-    def objective(x):
-        return evaluate(x)[0]
-
-    constraints = [(m.name, lambda x, k=k: evaluate(x)[k + 1]) for k, m in enumerate(msets)]
-    opt = minimize_penalized(objective, constraints, par.n_params, cfg,
+    opt = minimize_penalized(lambda x: evaluate(x)[0],
+                             [(marginals.name, lambda x: evaluate(x)[1])], par.n_params, cfg,
                              inits=[par.init_from_matrix(c) for c in cands])
     pool = [par.sigma(opt.argmin)[0]] + cands
-    sets = [PsdSet(), TraceOneSet()] + msets
+    sets = [PsdSet(), marginals]
 
     best = None
     feasible = []

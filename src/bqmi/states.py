@@ -62,8 +62,8 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Recipe for a state family: bell, cc, product-mix, werner, isotropic,
-    random, or file."""
+    """Recipe for a state family: bell, cc, product-mix, werner, isotropic
+    or random."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -149,8 +149,6 @@ def make_state(spec: StateSpec) -> DensityOperator:
         dim = p.get("dim", 4)
         rank = p.get("rank", dim)
         return random_density(dim, rank, spec.seed if spec.seed is not None else 0)
-    if fam == "file":
-        return load_state(p["path"])
     raise ValidationError(f"unknown state family {fam!r}")
 
 

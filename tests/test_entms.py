@@ -35,6 +35,7 @@ from bqmi.states import (
     cc_state,
     product_mix_state,
     random_density,
+    spectral_ensemble,
     werner_state,
 )
 
@@ -154,6 +155,13 @@ def test_flag_extension_folds_the_lightest_members(kind):
         assert np.abs(blocks[i] - members[k]).max() < 1e-15
     folded = sum(members[k] for k in (0, 2, 4))
     assert np.abs(blocks[-1] - folded).max() < 1e-15
+
+
+@pytest.mark.parametrize("flag_dim", [0, -1])
+def test_flag_extension_rejects_a_non_positive_flag_dim(flag_dim):
+    ens = spectral_ensemble(werner_state(0.5))
+    with pytest.raises(ValidationError, match="non-positive dim"):
+        classical_flag_extension(ens, "squashed", flag_dim)
 
 
 def test_esq_large_rank_deficient_block_stays_small():

@@ -15,7 +15,6 @@ from bqmi.optim import (
     OptimizerConfig,
     PptSet,
     PsdSet,
-    TraceOneSet,
     dykstra_project,
     entropy_combo,
     finite_diff_check,
@@ -163,6 +162,22 @@ def test_lockstep_solver_restart_matches_the_same_start_run_alone(monkeypatch, s
     assert_same_run(together, alone)
 
 
+def test_broadcast_solve_passes_one_marginal_constraint(monkeypatch):
+    # The marginals of all three copies form one constraint, so the descent
+    # takes one penalty.
+    calls = []
+
+    def spy(objective, constraints, *args, **kw):
+        calls.append(constraints)
+        return minimize_penalized(objective, constraints, *args, **kw)
+
+    monkeypatch.setattr(optim, "minimize_penalized", spy)
+    rho = random_density(4, 2, seed=1)
+    broadcast_mi_upper(rho, 3, OptimizerConfig(restarts=1, max_iters=3))
+    [constraints] = calls
+    assert [name for name, _ in constraints] == ["marginal"]
+
+
 def test_finite_diff_check_flags_wrong_gradient():
     def good(x):
         return float((x ** 2).sum()), 2 * x
@@ -182,11 +197,16 @@ def test_psd_projection_clips_eigenvalues():
     assert PsdSet().residual(h) == pytest.approx(2.0)
 
 
+def trace_one(dims):
+    """The unit-trace set: a MarginalSet that keeps no factor."""
+    return MarginalSet(dims, [((), np.eye(1))])
+
+
 def test_dykstra_two_sets_matches_simplex_oracle():
     # Projection onto {PSD, unit trace} acts on eigenvalues as projection
     # onto the simplex (clip below a shift chosen so the total is 1).
     h = random_herm(4, 3)
-    got = dykstra_project(h, [PsdSet(), TraceOneSet()], tol=1e-12)
+    got = dykstra_project(h, [PsdSet(), trace_one((4,))], tol=1e-12)
     lam, v = np.linalg.eigh(h)
 
     def simplex(y):
@@ -202,7 +222,7 @@ def test_dykstra_two_sets_matches_simplex_oracle():
 
 def test_dykstra_single_negative_eigenvalue_case():
     h = np.diag([0.9, 0.5, -0.2]).astype(complex)
-    got = dykstra_project(h, [PsdSet(), TraceOneSet()], tol=1e-12)
+    got = dykstra_project(h, [PsdSet(), trace_one((3,))], tol=1e-12)
     # oracle: clip the negative eigenvalue, then shift the rest to trace one
     assert np.allclose(np.sort(np.linalg.eigvalsh(got)),
                        np.sort([0.7, 0.3, 0.0]), atol=1e-8)
@@ -223,7 +243,7 @@ def test_marginal_set_projection_fixes_marginal():
     rng = np.random.default_rng(8)
     target = np.diag([0.3, 0.7]).astype(complex)
     h = random_herm(4, 8)
-    s = MarginalSet((2, 2), (0,), target)
+    s = MarginalSet((2, 2), [((0,), target)])
     p = s.project(h)
     assert np.abs(partial_trace_mat(p, (2, 2), (0,)) - target).max() < 1e-12
     # idempotent and norm-minimal direction: projecting twice changes nothing
@@ -231,11 +251,20 @@ def test_marginal_set_projection_fixes_marginal():
 
 
 def test_dykstra_reports_failure_residuals():
-    # Empty intersection: trace-one against a marginal of trace 2.
-    s = MarginalSet((2,), (0,), 2 * np.eye(2, dtype=complex))
-    with pytest.raises(RuntimeError, match="residual"):
-        dykstra_project(np.eye(2, dtype=complex), [TraceOneSet(), s],
+    # Empty intersection: trace-one against a marginal of trace 2.  Both sets
+    # are named "marginal", and the error reports the residual of each.
+    s = MarginalSet((2,), [((0,), 2 * np.eye(2, dtype=complex))])
+    with pytest.raises(RuntimeError, match="residual") as err:
+        dykstra_project(np.eye(2, dtype=complex), [trace_one((2,)), s],
                         tol=1e-12, max_sweeps=50)
+    assert str(err.value).count("'marginal'") == 2
+
+
+def test_trace_set_projection_shifts_by_identity():
+    h = random_herm(6, 11)
+    got = trace_one((2, 3)).project(h)
+    assert np.abs(got - (h - (h.trace() - 1.0) / 6 * np.eye(6))).max() < 1e-14
+    assert abs(got.trace() - 1.0) < 1e-14
 
 
 def test_density_param_produces_states_and_gradient():
@@ -268,10 +297,10 @@ def test_entropy_combo_matches_direct_entropies():
 
 def test_marginal_penalty_zero_iff_matched():
     sig = np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2).astype(complex)
-    v, g = MarginalSet((2, 2), (0,), np.diag([0.25, 0.75])).penalty(sig)
+    v, g = MarginalSet((2, 2), [((0,), np.diag([0.25, 0.75]))]).penalty(sig)
     assert v < 1e-28
     assert np.abs(g).max() < 1e-14
-    unmatched = MarginalSet((2, 2), (0,), np.eye(2) / 2)
+    unmatched = MarginalSet((2, 2), [((0,), np.eye(2) / 2)])
     v2, g2 = unmatched.penalty(sig)
     assert v2 > 0.1
     # the gradient is the derivative of the penalty along any direction

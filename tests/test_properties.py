@@ -124,9 +124,39 @@ def test_stacked_state_kernels_match_single_calls(layout, batch):
     assert_slices_match(entropy_combo(sig_c, dims, terms, w),
                         lambda k: entropy_combo(sig_c[k], dims, terms, w), batch)
 
-    target = partial_trace_mat(random_density(d, d, seed=seed % 1000).mat, dims, keep)
-    mset = MarginalSet(dims, keep, target)
+    # the marginals of one state on keep, on the other factors (the trace
+    # when keep holds them all) and its trace: one set, and one per target
+    rho = random_density(d, d, seed=seed % 1000).mat
+    rest = tuple(i for i in range(len(dims)) if i not in keep)
+    targets = [(g, partial_trace_mat(rho, dims, g)) for g in (keep, rest, ())]
+    mset = MarginalSet(dims, targets)
     assert_slices_match(mset.penalty(sig), lambda k: mset.penalty(sig[k]), batch)
+    singles = [MarginalSet(dims, [t]).penalty(sig) for t in targets]
+    for got, want in zip(mset.penalty(sig), map(sum, zip(*singles))):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+@FAST
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.floats(0.5, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_marginal_set_projection_is_least_squares(dims, trace, seed):
+    # One target per single-factor block, all of the same trace: the set's
+    # projection is X - L^+ (L X - t), L stacking the partial traces.
+    rng = np.random.default_rng(seed)
+    targets = [((k,), trace * random_density(dk, dk, seed=seed % 1000 + k).mat)
+               for k, dk in enumerate(dims)]
+    mset = MarginalSet(dims, targets)
+    d = math.prod(dims)
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    lmat = np.concatenate([partial_trace_mat(basis, dims, keep).reshape(d * d, -1).T
+                           for keep, _ in targets])
+    t = np.concatenate([tg.ravel() for _, tg in targets])
+    x = random_mat(d, rng)
+    want = x.ravel() - np.linalg.pinv(lmat) @ (lmat @ x.ravel() - t)
+    got = mset.project(x)
+    assert np.abs(got.ravel() - want).max() < 1e-10
+    assert np.abs(mset.project(got) - got).max() < 1e-12
+    assert mset.residual(got) < 1e-12
 
 
 @st.composite
