@@ -21,6 +21,7 @@ from .optim import BoundedValue, OptimizerConfig, solve_marginal_problem
 from .qcore import (
     PAULI,
     DensityOperator,
+    SubsystemLayout,
     ValidationError,
     expand_mat,
     mutual_information,
@@ -75,7 +76,8 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
     layout = broadcast_layout(rho.layout, n)
     if n == 1:
         # The only 1-copy broadcast state is rho itself.
-        value, joint, residuals = mutual_information(rho), rho.mat, [0.0]
+        value, residuals = mutual_information(rho), [0.0]
+        joint = DensityOperator(layout, rho.mat)
         diag = {"note": "n=1: feasible set is the singleton {rho}"}
     else:
         def candidates():
@@ -88,8 +90,11 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
                  (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
         sol = solve_marginal_problem([(rho.layout.dims, rho.mat)] * n, terms, cfg,
                                      candidates())
-        value, joint, residuals, diag = sol.value, sol.joint, sol.residuals, sol.diagnostics
+        value, residuals, diag = sol.value, sol.residuals, sol.diagnostics
         diag["feasible_joints"] = [DensityOperator(layout, m) for m in sol.feasible]
+        # the best joint is one of the feasible ones: take it validated
+        joint = next(j for j, m in zip(diag["feasible_joints"], sol.feasible)
+                     if m is sol.joint)
     bv = BoundedValue(
         value=value,
         direction="upper",
@@ -97,8 +102,7 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
         residuals={"marginal_max": max(residuals)},
         diagnostics=diag,
     )
-    bv.diagnostics["broadcast_state"] = BroadcastState(
-        n, rho, DensityOperator(layout, joint), residuals)
+    bv.diagnostics["broadcast_state"] = BroadcastState(n, rho, joint, residuals)
     return bv
 
 
@@ -268,7 +272,6 @@ def _tensor_pair_broadcast(rho, sigma, joint_rho, joint_sig, n):
         (f"{lab}'", d) for lab, d in sigma.layout.factors)
     sides = {f"{lab}": rho.layout.sides[lab] for lab, _ in rho.layout.factors}
     sides.update({f"{lab}'": sigma.layout.sides[lab] for lab, _ in sigma.layout.factors})
-    from .qcore import SubsystemLayout
     prod = DensityOperator(SubsystemLayout(factors, sides),
                            np.kron(rho.mat, sigma.mat))
     # joint_rho (x) joint_sig has copy blocks (rho copies) then (sigma copies);

@@ -349,11 +349,11 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
                  name="state", tol=2e-3) -> ChainReport:
     """Evaluate the inequality chain 2E^C_sq >= per-copy broadcast MI limit
     >= 2E_I >= 2E^Q_sq together with the measured-correlation lower bound,
-    and check every verifiable cross-direction pair.  Solver failures
-    (optim.SOLVER_FAILURES) and DimensionCapError become notes and missing
-    entries, and the report's failures map each missing entry's name to its
-    message; other errors raise.  ns, the copy counts of the broadcast
-    entries, must be nonempty and positive."""
+    and check every verifiable cross-direction pair.  Each solver either
+    enters its value, or its failure (optim.SOLVER_FAILURES or
+    DimensionCapError) becomes a note and a failures entry, which maps the
+    missing entry's name to the message; other errors raise.  ns, the copy
+    counts of the broadcast entries, must be nonempty and positive."""
     from .broadcast import broadcast_mi_upper, sweep_warm_starts
 
     skipped = (DimensionCapError, *SOLVER_FAILURES)  # anything else is a bug
@@ -364,21 +364,32 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
     entries = {}
     notes = []
     failures = {}
-    results = {}
-    ensemble = None
 
-    def failed(key, entry, e):
-        notes.append(f"{key} failed: {e}")
-        failures[entry] = str(e)
+    def enter(key, entry, solve, copies=None):
+        """Enter solve()'s value as entry: per copy with the total when
+        copies is given, doubled for a "2..." entry, else as is.  Returns the
+        solver's BoundedValue, or None after noting its failure under key."""
+        try:
+            bv = solve()
+        except skipped as e:
+            notes.append(f"{key} failed: {e}")
+            failures[entry] = str(e)
+            return None
+        if copies is not None:
+            entries[entry] = BoundedValue(bv.value / copies, "upper", bv.method, bv.residuals,
+                                          {**bv.diagnostics, "total_bits": bv.value})
+        elif entry.startswith("2"):
+            entries[entry] = BoundedValue(2 * bv.value, "upper", bv.method, bv.residuals,
+                                          bv.diagnostics)
+        else:
+            entries[entry] = bv
+        return bv
 
     # The ensemble solver runs first: its optimal ensemble seeds the flag
     # extensions for the other upper bounds (load-bearing for separable
     # states, where the flags make those bounds vanish).
-    try:
-        results["ecsq"] = ecsq_upper(rho, None, cfg)
-        ensemble = results["ecsq"].diagnostics.get("ensemble")
-    except skipped as e:
-        failed("ecsq", "2ecsq", e)
+    ecsq = enter("ecsq", "2ecsq", lambda: ecsq_upper(rho, None, cfg))
+    ensemble = ecsq.diagnostics.get("ensemble") if ecsq is not None else None
 
     # The flag registers have fixed sizes, whatever the ensemble's: E as large
     # as rho and A', B' qubits.  An ensemble of up to rank(rho)² members would
@@ -394,65 +405,42 @@ def chain_report(rho: DensityOperator, cfg: OptimizerConfig, ns=(1, 2),
         cemi_warm.append(classical_flag_extension(ensemble, "cemi", dim_p))
 
     da, db = rho.layout.side_dims()
-    tasks = {
-        "esq": lambda: esq_upper(rho, dim_e, cfg, warm_starts=esq_warm),
-        "cemi": lambda: cemi_upper(rho, dim_p, cfg, warm_starts=cemi_warm),
-        "eic": lambda: eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg),
-    }
-    for k, f in tasks.items():
-        try:
-            results[k] = f()
-        except skipped as e:
-            failed(k, "eic" if k == "eic" else "2" + k, e)
+    enter("esq", "2esq", lambda: esq_upper(rho, dim_e, cfg, warm_starts=esq_warm))
+    enter("cemi", "2cemi", lambda: cemi_upper(rho, dim_p, cfg, warm_starts=cemi_warm))
+    eic = enter("eic", "eic",
+                lambda: eic_lower(rho, default_ic_povm(da), default_ic_povm(db), cfg))
 
-    for key in ("ecsq", "esq", "cemi"):
-        if key in results:
-            bv = results[key]
-            entries["2" + key] = BoundedValue(2 * bv.value, "upper", bv.method,
-                                              bv.residuals, bv.diagnostics)
-    if "eic" in results:
-        entries["eic"] = results["eic"]
-
-    ib_est = {}
+    ib = {}  # copy count -> the (I_b)_n estimate
     prev = None
     for nn in ns:
-        try:
-            up = broadcast_mi_upper(rho, nn, cfg,
-                                    warm_starts=sweep_warm_starts(rho, nn, prev, ensemble))
-        except skipped as e:
-            failed(f"broadcast n={nn}", f"ib_per_copy_n{nn}", e)
-            continue
-        prev = up.diagnostics["broadcast_state"]
-        ib_est[nn] = up.value
-        entries[f"ib_per_copy_n{nn}"] = BoundedValue(
-            up.value / nn, "upper", up.method, up.residuals,
-            {**up.diagnostics, "total_bits": up.value})
+        up = enter(f"broadcast n={nn}", f"ib_per_copy_n{nn}",
+                   lambda: broadcast_mi_upper(
+                       rho, nn, cfg, warm_starts=sweep_warm_starts(rho, nn, prev, ensemble)),
+                   copies=nn)
+        if up is not None:
+            prev = up.diagnostics["broadcast_state"]
+            ib[nn] = up.value
 
-    verdict = "consistent"
     details = []
-    if "eic" in results and ib_est:
-        eic = results["eic"].value
-        per_copy_min = min(v / nn for nn, v in ib_est.items())
-        if eic > per_copy_min + tol:
-            verdict = "violation"
-            details.append(f"eic {eic:.6f} > min_n est/n {per_copy_min:.6f} + {tol}")
-        for nn, est in ib_est.items():
-            if nn * eic > est + tol:
-                verdict = "violation"
-                details.append(f"{nn}*eic {nn * eic:.6f} > est(I_b)_{nn} {est:.6f} + {tol}")
-    if "ecsq" in results and ensemble is not None and ib_est:
+    if eic is not None and ib:
+        per_copy_min = min(v / nn for nn, v in ib.items())
+        if eic.value > per_copy_min + tol:
+            details.append(f"eic {eic.value:.6f} > min_n est/n {per_copy_min:.6f} + {tol}")
+        for nn, est in ib.items():
+            if nn * eic.value > est + tol:
+                details.append(f"{nn}*eic {nn * eic.value:.6f} > est(I_b)_{nn} {est:.6f} + {tol}")
+    if ensemble is not None:
         s_p = shannon_entropy(ensemble.probabilities())
-        for nn, est in ib_est.items():
-            cap = 2 * nn * results["ecsq"].value + s_p
+        for nn, est in ib.items():
+            cap = 2 * nn * ecsq.value + s_p
             if est > cap + tol:
-                verdict = "violation"
                 details.append(
                     f"est(I_b)_{nn} {est:.6f} > 2n*ecsq + S(p) {cap:.6f} + {tol}")
     notes.extend(details)
-    if "eic" in results:
-        notes.append(results["eic"].diagnostics["relaxation"])
-    missing = (set(tasks) | {"ecsq"}) - set(results)
-    if missing:
-        notes.append(f"missing entries: {sorted(missing)}")
-    return ChainReport(state=name, entries=entries, verdict=verdict, notes=notes,
-                       failures=failures)
+    if eic is not None:
+        notes.append(eic.diagnostics["relaxation"])
+    if failures:
+        notes.append(f"missing entries: {sorted(failures)}")
+    return ChainReport(state=name, entries=entries,
+                       verdict="violation" if details else "consistent",
+                       notes=notes, failures=failures)

@@ -611,11 +611,11 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
 
     blocks: the joint's contiguous factor groups in tensor order, each a
     (dims, target) pair whose target is the block's fixed marginal, or None
-    for a free block.  terms: entropy_combo terms over the concatenated
-    factor dims.  candidates: extra starting joints (matrices or objects with
-    a .mat), consumed only after the BQ_MAX_DIM check on the joint dimension;
-    the product of the targets, maximally mixed on free blocks, always comes
-    first.
+    for a free block; at least one block is fixed.  terms: entropy_combo
+    terms over the concatenated factor dims.  candidates: extra starting
+    joints (matrices or objects with a .mat), consumed only after the
+    BQ_MAX_DIM check on the joint dimension; the product of the targets,
+    maximally mixed on free blocks, always comes first.
 
     Any PSD joint with these marginals lives in the product of the targets'
     supports, the range of W = (x) (support basis of each block), so the
@@ -637,9 +637,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     """
     dims = tuple(d for bdims, _ in blocks for d in bdims)
     d = math.prod(dims)
-    if d > dim_cap():
-        raise DimensionCapError(
-            f"joint dimension {d} exceeds cap {dim_cap()} (set BQ_MAX_DIM to raise)")
+    check_param_cap(2 * d * d, f"solve_marginal_problem on a {d}-dim joint")
 
     fixed = []  # (factor indices, target) per fixed block
     parts = []  # factors of the product candidate
@@ -671,8 +669,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
             raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
         cands.append(w.compress(c))
 
-    # With no fixed block, the trace is the one constraint.
-    marginals = MarginalSet(w.cdims, [((k,), t) for k, t in compressed] or [((), np.eye(1))])
+    marginals = MarginalSet(w.cdims, [((k,), t) for k, t in compressed])
     par = DensityParam(math.prod(w.cdims))
     # minimize_penalized evaluates the objective and then the penalty on the
     # same stack of points, so one stacked sigma serves both.  The cache

@@ -185,6 +185,7 @@ def test_chain_solver_failure_exits_3(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert "2esq" not in doc["entries"] and "2ecsq" in doc["entries"]
     assert "esq failed: dykstra_project did not converge" in doc["notes"]
+    assert "missing entries: ['2esq']" in doc["notes"]
 
 
 def test_chain_note_mentioning_failed_is_not_a_failure(tmp_path, monkeypatch):

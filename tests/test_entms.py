@@ -17,7 +17,7 @@ from bqmi.entms import (
     esq_upper,
 )
 from bqmi.measures import Povm, default_ic_povm
-from bqmi.optim import DimensionCapError, OptimizerConfig
+from bqmi.optim import BoundedValue, DimensionCapError, OptimizerConfig
 from bqmi.qcore import (
     DensityOperator,
     ValidationError,
@@ -312,6 +312,69 @@ def test_chain_report_after_a_failed_copy_count(monkeypatch):
     rep = chain_report(werner_state(0.5), FAST_CFG, ns=(1, 2, 3))
     assert set(rep.entries) == CHAIN_ENTRIES | {"ib_per_copy_n1", "ib_per_copy_n3"}
     assert rep.failures == {"ib_per_copy_n2": "no convergence at n=2"}
+    assert rep.notes[-1] == "missing entries: ['ib_per_copy_n2']"
+
+
+def stub_chain_solvers(monkeypatch, ecsq, eic, ib, failing=()):
+    """Replace the five solvers of chain_report with stubs that return fixed
+    values: ecsq (with cc's two-member spectral ensemble, S(p) = 1 bit), esq
+    0.25, cemi 0.125, eic and the n-copy broadcast MI ib[n].  A solver named
+    in failing raises RuntimeError("stub") instead."""
+    ensemble = spectral_ensemble(cc_state([[0.5, 0], [0, 0.5]]))
+
+    def stub(key, value, direction="upper", **diagnostics):
+        def solve(*args, **kwargs):
+            if key in failing:
+                raise RuntimeError("stub")
+            return BoundedValue(value, direction, key, {}, dict(diagnostics))
+        return solve
+
+    monkeypatch.setattr(bqmi.entms, "ecsq_upper", stub("ecsq", ecsq, ensemble=ensemble))
+    monkeypatch.setattr(bqmi.entms, "esq_upper", stub("esq", 0.25))
+    monkeypatch.setattr(bqmi.entms, "cemi_upper", stub("cemi", 0.125))
+    monkeypatch.setattr(bqmi.entms, "eic_lower", stub("eic", eic, "lower", relaxation="stub"))
+    monkeypatch.setattr(bqmi.broadcast, "broadcast_mi_upper",
+                        lambda rho, n, cfg, warm_starts=None: BoundedValue(
+                            ib[n], "upper", "broadcast", {}, {"broadcast_state": None}))
+
+
+IB_STUB = {1: 1.0, 2: 1.6}  # per copy 1.0 and 0.8
+
+
+@pytest.mark.parametrize("ecsq, eic, details", [
+    (1.0, 0.5, []),
+    (1.0, 0.95, ["eic 0.950000 > min_n est/n 0.800000 + 0.1",
+                 "2*eic 1.900000 > est(I_b)_2 1.600000 + 0.1"]),
+    (1.0, 0.86, ["2*eic 1.720000 > est(I_b)_2 1.600000 + 0.1"]),
+    (0.05, 0.5, ["est(I_b)_2 1.600000 > 2n*ecsq + S(p) 1.200000 + 0.1"]),
+], ids=["consistent", "eic-above-per-copy-min", "n-eic-above-ib", "ib-above-ecsq-cap"])
+def test_chain_report_violation_checks(monkeypatch, ecsq, eic, details):
+    stub_chain_solvers(monkeypatch, ecsq, eic, IB_STUB)
+    rep = chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1, 2), tol=0.1)
+    assert rep.verdict == ("violation" if details else "consistent")
+    assert rep.notes == details + ["stub"]
+    assert rep.failures == {}
+
+
+def test_chain_report_enters_doubled_and_per_copy_values(monkeypatch):
+    ib = {1: 1.0, 2: 1.6, 3: 2.2}
+    stub_chain_solvers(monkeypatch, 0.05, 0.5, ib, failing=("cemi",))
+    rep = chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1, 2, 3), tol=0.1)
+    values = {k: bv.value for k, bv in rep.entries.items()}
+    assert values == {"2ecsq": 2 * 0.05, "2esq": 2 * 0.25, "eic": 0.5,
+                      "ib_per_copy_n1": 1.0, "ib_per_copy_n2": 1.6 / 2,
+                      "ib_per_copy_n3": 2.2 / 3}
+    for n, total in ib.items():
+        assert rep.entries[f"ib_per_copy_n{n}"].diagnostics["total_bits"] == total
+    assert rep.failures == {"2cemi": "stub"}
+    # failures, check details, eic's relaxation, missing entries
+    assert rep.notes == [
+        "cemi failed: stub",
+        "est(I_b)_2 1.600000 > 2n*ecsq + S(p) 1.200000 + 0.1",
+        "est(I_b)_3 2.200000 > 2n*ecsq + S(p) 1.300000 + 0.1",
+        "stub",
+        "missing entries: ['2cemi']",
+    ]
 
 
 def test_chain_report_flag_registers_have_fixed_sizes(monkeypatch):
