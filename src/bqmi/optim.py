@@ -1,10 +1,13 @@
-"""Reusable optimization engines: penalized multi-start gradient descent,
-finite-difference gradient validation, Dykstra alternating projections onto
-convex sets of Hermitian matrices, and solve_marginal_problem, the one
+"""Reusable optimization engines: penalized multi-start L-BFGS descent,
+whose line search starts at the full quasi-Newton step, doubles it while
+Armijo holds and the slope stays steep, and otherwise halves it until Armijo
+holds; finite-difference gradient validation; Dykstra alternating projections
+onto convex sets of Hermitian matrices; and solve_marginal_problem, the one
 constrained-state solver behind the broadcast, squashed and CEMI bounds."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -27,10 +30,12 @@ DEFAULT_DIM_CAP = 256
 # Eigenvalues of a fixed marginal above this span the support that
 # solve_marginal_problem projects in.
 SUPPORT_CUTOFF = 1e-9
-# minimize_penalized: the first step length of each descent, the penalty
-# weights each restart is taken through in turn, and the relative decrease
-# below which a descent stops.
+# minimize_penalized: the step of each descent's first iteration, as a
+# multiple of -grad, the number of L-BFGS (s, y) pairs a descent keeps, the
+# penalty weights each restart is taken through in turn, and the relative
+# decrease below which a descent stops.
 STEP_INIT = 0.5
+LBFGS_MEMORY = 5
 PENALTY_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 TOL_OBJECTIVE = 1e-9
 # Largest Frobenius marginal deviation of a joint solve_marginal_problem returns.
@@ -143,36 +148,85 @@ def _weigh(val, w):
     return f, g
 
 
+def _lbfgs_direction(g, pairs):
+    """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
+    Optimization, alg. 7.4) over the stored (s, y, 1 / s.y) pairs, oldest
+    first, with the initial inverse Hessian s.y / y.y of the newest pair;
+    -STEP_INIT g when no pair is stored."""
+    if not pairs:
+        return -STEP_INIT * g
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    _, y, rho = pairs[-1]
+    q *= 1.0 / (rho * float(y @ y))  # s.y / y.y
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def _descend(x, max_iters, w):
-    """Backtracking gradient descent from x at penalty weight w, written as
-    a generator: it yields each point it wants evaluated and is sent that
-    point's unweighted (f, grad, [(value, grad), ...]), which it weighs
-    itself.  Returns (x, penalized f, iterations, converged); the
-    accepted-objective trace is monotone."""
+    """L-BFGS descent from x at penalty weight w, written as a generator: it
+    yields each point it wants evaluated and is sent that point's unweighted
+    (f, grad, [(value, grad), ...]), which it weighs itself.
+
+    The direction p comes from the last LBFGS_MEMORY (s, y) pairs of this
+    call (_lbfgs_direction); it is -STEP_INIT g on the first iteration, and
+    also, with the pairs cleared, whenever g.p >= 0.  A pair is stored only
+    when s.y > 1e-12 |s| |y|.  The line search tries x + t p from t = 1 and
+    accepts a trial that meets Armijo, f(t) <= f + 1e-4 t g.p.  While
+    no trial has been halved and the accepted trial's slope g(t).p is still
+    below 0.9 g.p, t doubles; the best trial is kept, and the first doubled
+    trial that fails Armijo, does no better or is not finite ends the
+    expansion.  Otherwise t halves, for at most 40 trials in all; a NaN
+    objective at any trial but a doubled one raises FloatingPointError.
+    Stops, converged, when |g|^2 <= 1e-30, when no trial is accepted, or when
+    f falls by less than TOL_OBJECTIVE max(1, |f|).  Returns (x, penalized
+    f, iterations, converged); the accepted-objective trace is monotone."""
     f, g = _weigh((yield x), w)
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at start")
-    t = STEP_INIT
+    pairs = collections.deque(maxlen=LBFGS_MEMORY)
     it = 0
     for it in range(1, max_iters + 1):
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             return x, f, it, True
-        moved = False
+        p = _lbfgs_direction(g, pairs)
+        slope = float(g @ p)
+        if slope >= 0:
+            pairs.clear()
+            p = -STEP_INIT * g
+            slope = -STEP_INIT * gnorm2
+        best, t, halved = None, 1.0, False
         for _ in range(40):
-            xn = x - t * g
+            xn = x + t * p
             fn, gn = _weigh((yield xn), w)
+            armijo = fn <= f + 1e-4 * t * slope
+            if best is not None and not (armijo and fn < best[1]):
+                break
             if np.isnan(fn):
                 raise FloatingPointError("objective NaN during line search")
-            if fn <= f - 1e-4 * t * gnorm2:
-                moved = True
+            if not armijo:
+                halved = True
+                t *= 0.5
+                continue
+            best = (xn, fn, gn)
+            if halved or float(gn @ p) >= 0.9 * slope:
                 break
-            t *= 0.5
-        if not moved:
+            t *= 2.0
+        if best is None:
             return x, f, it, True
+        xn, fn, gn = best
+        s, y = xn - x, gn - g
+        sy = float(s @ y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
         df = f - fn
         x, f, g = xn, fn, gn
-        t *= 1.3
         if df < TOL_OBJECTIVE * max(1.0, abs(f)):
             return x, f, it, True
     return x, f, it, False
@@ -214,12 +268,17 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     of points x of shape (m, param_dim) and return (values, grads) of shapes
     (m,) and (m, param_dim), row k belonging to point k alone.  A constraint
     is added as w * value with w ramped over PENALTY_SCHEDULE, each
-    restart through its own stages.  Every round, the points that all live
-    restarts ask for are evaluated as one stack, so each restart follows the
-    trajectory it would follow alone.  inits seeds the first restarts; the
+    restart through its own stages.  Each stage is an L-BFGS descent
+    (_descend) with a fresh memory, since w changes the objective; its line
+    search starts at the full quasi-Newton step, doubles it while Armijo
+    holds and the slope stays steep, and halves it until Armijo holds.
+    Every round, the points that all live restarts ask for are evaluated as
+    one stack, so each restart follows the trajectory it would follow alone
+    (its L-BFGS memory lives in its own generator).  inits seeds the first restarts; the
     rest start from standard-normal points drawn with master_seed +
-    restart_index.  A restart whose objective turns NaN or whose eigensolver
-    fails (numpy.linalg.LinAlgError) is dropped: a round that raises is
+    restart_index.  A restart whose objective turns NaN (other than at a
+    doubled step, which only ends the doubling) or whose eigensolver fails
+    (numpy.linalg.LinAlgError) is dropped: a round that raises is
     evaluated again one point at a time to find it.  Returns the best
     OptimResult (lowest final penalized value, ties broken by restart index).
     """

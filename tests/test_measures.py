@@ -23,7 +23,7 @@ from bqmi.qcore import (
     partial_trace_mat,
     permute_factors,
 )
-from bqmi.states import bell_state, cc_state, random_density
+from bqmi.states import bell_state, cc_state, random_density, werner_state
 
 CFG = OptimizerConfig(restarts=3, max_iters=150)
 
@@ -99,6 +99,18 @@ def test_classical_mi_max_bell_matches_projective_oracle():
     bv = classical_mi_max(bell_state(), 4, CFG)
     assert oracle - 1e-6 <= bv.value <= 2.0
     assert abs(bv.value - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5])
+def test_classical_mi_max_werner_reaches_projective_value_at_small_budget(p):
+    # Measuring both halves of a Werner state in one basis gives bits that
+    # agree with probability (1 + p)/2, so I = 1 - h((1 + p)/2), the value the
+    # descent must reach.  The budget is the benchmark's ic flags: 2 restarts
+    # of 15 iterations per penalty stage.
+    q = (1 + p) / 2
+    oracle = 1 + q * np.log2(q) + (1 - q) * np.log2(1 - q)
+    bv = classical_mi_max(werner_state(p), 4, OptimizerConfig(restarts=2, max_iters=15))
+    assert abs(bv.value - oracle) < 1e-6
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])

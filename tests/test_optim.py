@@ -77,6 +77,48 @@ def test_penalized_quadratic_matches_lagrangian_oracle(monkeypatch):
     assert res.residuals["lin"] < 1e-4
 
 
+def test_lbfgs_solves_ill_conditioned_quadratic():
+    # 1/2 x'Ax - b'x with cond(A) = 1e3 has its minimum at A^-1 b.  Within
+    # this budget a steepest descent stops unconverged 6.5e-3 away from it,
+    # so reaching 1e-3 needs the curvature pairs.
+    rng = np.random.default_rng(1)
+    u, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    a = (u * np.logspace(0, 3, 20)) @ u.T
+    b = rng.standard_normal(20)
+
+    def objective(x):
+        return 0.5 * np.einsum("ki,ij,kj->k", x, a, x) - x @ b, x @ a - b
+
+    res = minimize_penalized(objective, [], 20, OptimizerConfig(restarts=2, max_iters=500))
+    assert res.converged
+    assert np.linalg.norm(res.argmin - np.linalg.solve(a, b)) < 1e-3
+
+
+def test_nan_while_expanding_keeps_the_restart():
+    # A Huber function around c = -3u, NaN for ||x|| > 8.  From x0 = 7u the
+    # gradient is the unit vector u until 1 from c, so the line search keeps
+    # doubling its first step of 0.5: its trials reach -u, 2 from c and still
+    # as steep, and then -9u, outside the ball.  That NaN ends the expansion
+    # at -u; it does not drop the only restart.
+    u = np.full(4, 0.5)
+    c = -3 * u
+    nan_trials = []
+
+    def objective(x):
+        r = np.linalg.norm(x - c, axis=-1)
+        f = np.where(r <= 1, 0.5 * r * r, r - 0.5)
+        g = (x - c) / np.maximum(r, 1)[:, None]
+        outside = np.linalg.norm(x, axis=-1) > 8
+        nan_trials.append(int(outside.sum()))
+        return np.where(outside, np.nan, f), g
+
+    res = minimize_penalized(objective, [], 4, OptimizerConfig(restarts=1, max_iters=50),
+                             inits=[7 * u])
+    assert sum(nan_trials) > 0
+    assert res.converged
+    assert np.linalg.norm(res.argmin - c) < 1e-6
+
+
 def test_minimize_penalized_deterministic():
     def objective(x):
         return (x ** 2).sum(-1), 2 * x
