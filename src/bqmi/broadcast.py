@@ -4,7 +4,7 @@ checks.
 
 The central estimator minimizes I(A^n:B^n) over n-copy broadcast states of a
 base state rho (every per-copy marginal equal to rho), posed to
-optim.solve_marginal_problem as n blocks whose marginals are fixed to rho.
+optim.solve_marginal_problem as n copies whose marginals are fixed to rho.
 Minimization over a nonconvex parameterization only ever certifies an upper
 bound; every reported value is evaluated at a candidate projected onto the
 exact feasible set.
@@ -88,8 +88,7 @@ def broadcast_mi_upper(rho: DensityOperator, n: int, cfg: OptimizerConfig,
 
         terms = [(1.0, layout.indices(layout.side_labels("A"))),
                  (1.0, layout.indices(layout.side_labels("B"))), (-1.0, None)]
-        sol = solve_marginal_problem([(rho.layout.dims, rho.mat)] * n, terms, cfg,
-                                     candidates())
+        sol = solve_marginal_problem(rho.layout.dims, rho.mat, n, terms, cfg, candidates())
         value, residuals, diag = sol.value, sol.residuals, sol.diagnostics
         diag["feasible_joints"] = [DensityOperator(layout, m) for m in sol.feasible]
         # the best joint is one of the feasible ones: take it validated

@@ -3,10 +3,10 @@ entanglement, bounded-dimension squashed entanglement and CEMI uppers, the
 PPT-relaxed measured-correlation lower bound, and the inequality-chain
 report.
 
-The squashed and CEMI uppers are optim.solve_marginal_problem over a rho
-block and one free extension block; ecsq_upper runs optim.minimize_penalized
-without penalties on a measures.PovmParam, and eic_lower runs its own
-projected-gradient descent with Dykstra projections.
+The squashed, CEMI and ensemble uppers run optim.minimize_penalized without
+penalties on a measures.PovmParam, which maps onto extensions or ensembles
+of rho exactly; eic_lower runs its own projected-gradient descent with
+Dykstra projections.
 
 All minimizations over ensembles/extensions report direction 'upper'; the
 measured-correlation bound reports 'lower' (the PPT set contains the
@@ -23,17 +23,19 @@ from .measures import Povm, PovmParam, default_ic_povm, local_statistics, measur
 from .optim import (
     PENALTY_SCHEDULE,
     SOLVER_FAILURES,
+    SUPPORT_CUTOFF,
+    BlockIsometry,
     BoundedValue,
     DimensionCapError,
     MarginalSet,
     OptimizerConfig,
     PptSet,
     PsdSet,
+    candidate_matrices,
     check_param_cap,
     dykstra_project,
     entropy_combo,
     minimize_penalized,
-    solve_marginal_problem,
 )
 from .qcore import (
     LOG2E,
@@ -41,6 +43,7 @@ from .qcore import (
     SubsystemLayout,
     ValidationError,
     mutual_information,
+    partial_trace_mat,
     shannon_entropy,
     trace_distance,
 )
@@ -125,10 +128,10 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
         val, grads_r = _ensemble_objective_terms(w @ effs @ w.conj().T, dims, a_idx, b_idx)
         return 0.5 * val, 0.5 * povm.grad_x(w.conj().T @ grads_r @ w, cache)
 
-    eye = np.eye(r)
+    eye = np.eye(r, dtype=complex)
     inits = [
-        povm.init_from_povm(Povm((eye,))),  # trivial ensemble {rho}
-        povm.init_from_povm(Povm(tuple(np.outer(e, e) for e in eye))),
+        povm.init_from_effects([eye]),  # trivial ensemble {rho}
+        povm.init_from_effects([np.outer(e, e) for e in eye]),
     ]
     opt = minimize_penalized(objective, [], povm.n_params, cfg, inits=inits)
     kept = []
@@ -169,20 +172,39 @@ def _extension_layout(rho, extra_factors):
 
 def _solve_extension(rho, layout, terms, cfg, warm_starts, method):
     """Minimize an entropy combination over extensions of rho to layout (rho's
-    factors followed by the extension's): a rho block plus one free block."""
+    factors, then the extension's E).  With rho = V lam V† on its support,
+    every extension is W sigma W† for W = V (x) I_E and sigma = (lam^{1/2} (x)
+    I) E_1 (lam^{1/2} (x) I), E_1 the effect of a PovmParam(rank, 1, dim E), so
+    each point the descent visits extends rho exactly.  It starts from E_1 =
+    I/dim E and from each warm start, and returns the best of its optimum and
+    every start."""
+    d = layout.dim
+    check_param_cap(2 * d * d, f"{method} on a {d}-dim joint")
     nf = len(rho.layout.factors)
-    sol = solve_marginal_problem(
-        [(rho.layout.dims, rho.mat), (layout.dims[nf:], None)],
-        terms, cfg, warm_starts or ())
-    bv = BoundedValue(
-        value=max(sol.value, 0.0),
-        direction="upper",
-        method=method,
-        residuals={"ab_marginal": sol.residuals[0]},
-        diagnostics=sol.diagnostics,
-    )
-    bv.diagnostics["extension"] = DensityOperator(layout, sol.joint)
-    return bv
+    lam, v = np.linalg.eigh(rho.mat)
+    keep = lam > SUPPORT_CUTOFF
+    dim_e = d // rho.dim
+    w = BlockIsometry([rho.layout.dims, layout.dims[nf:]], [v[:, keep], np.eye(dim_e)])
+    par = PovmParam(int(keep.sum()), 1, dim_e)
+    root = np.repeat(np.sqrt(lam[keep]), dim_e)
+    scale = np.outer(root, root)  # sigma = scale * E_1, elementwise
+
+    def objective(x):
+        effs, cache = par.effects(x)
+        f, fmat = entropy_combo(effs[..., 0, :, :] * scale, layout.dims, terms, w)
+        return f, par.grad_x((fmat * scale)[..., None, :, :], cache)
+
+    starts = [w.compress(c) / scale for c in candidate_matrices(warm_starts or (), d)]
+    inits = [par.init_from_effects([e]) for e in [np.eye(scale.shape[0]) / dim_e] + starts]
+    opt = minimize_penalized(objective, [], par.n_params, cfg, inits=inits)
+    sigmas = par.effects(np.stack([opt.argmin] + inits))[0][:, 0] * scale
+    values = entropy_combo(sigmas, layout.dims, terms, w)[0]
+    best = int(np.argmin(values))
+    joint = w.embed(sigmas[best])
+    marginal = partial_trace_mat(joint, layout.dims, tuple(range(nf)))
+    return BoundedValue(max(float(values[best]), 0.0), "upper", method,
+                        {"ab_marginal": float(np.linalg.norm(marginal - rho.mat))},
+                        {**opt.summary(), "extension": DensityOperator(layout, joint)})
 
 
 def esq_upper(rho: DensityOperator, dim_e, cfg: OptimizerConfig,

@@ -21,7 +21,9 @@ from .qcore import (
     DensityOperator,
     ValidationError,
     a_first_mat,
+    expand_mat,
     mutual_information,
+    partial_trace_mat,
     shannon_entropy,
 )
 
@@ -157,59 +159,61 @@ def default_ic_povm(dim: int) -> Povm:
 
 
 class PovmParam:
-    """Unconstrained POVM parameterization E_i = S^{-1/2} G_i† G_i S^{-1/2}.
+    """Unconstrained parameterization E_i = (A (x) I) G_i† G_i (A (x) I) of k
+    operators on C^dim (x) C^ext, with A = S^{-1/2}.
 
-    S = sum_i G_i† G_i (+ POVM_REG I), so the effects are PSD and
-    complete by construction.  The exact gradient chain through S^{-1/2}
-    uses the Sylvester-kernel trick in the eigenbasis of S^{1/2}.  effects
-    and grad_x also take a stack of vectors (..., n_params).
+    S = sum_i Tr_ext G_i† G_i (+ POVM_REG I), so the E_i are PSD and their
+    Tr_ext sum to I by construction: a POVM at ext = 1.  The exact gradient
+    chain through S^{-1/2} uses the Sylvester-kernel trick in the eigenbasis
+    of S^{1/2}.  effects and grad_x also take a stack of vectors (..., n_params).
     """
 
-    def __init__(self, dim, n_outcomes):
+    def __init__(self, dim, n_outcomes, ext=1):
         self.dim = int(dim)
         self.k = int(n_outcomes)
-        self.shape = (self.k, self.dim, self.dim)
-        self.n_params = 2 * self.k * self.dim * self.dim
+        self.dims = (self.dim, int(ext))
+        de = self.dim * self.dims[1]
+        self.shape = (self.k, de, de)
+        self.n_params = 2 * self.k * de * de
 
     def effects(self, x):
         g = unpack_complex(x, self.shape)
         ks = g.conj().swapaxes(-1, -2) @ g  # K_i = G_i† G_i
-        s = ks.sum(-3) + POVM_REG * np.eye(self.dim)
+        s = partial_trace_mat(ks.sum(-3), self.dims, (0,)) + POVM_REG * np.eye(self.dim)
         lam, u = np.linalg.eigh(s)
         lam = np.clip(lam, POVM_REG, None)
         a = (u * lam[..., None, :] ** -0.5) @ u.conj().swapaxes(-1, -2)  # S^{-1/2}
-        effs = a[..., None, :, :] @ ks @ a[..., None, :, :]
-        cache = (g, ks, a, np.sqrt(lam), u)
+        ax = expand_mat(a, self.dims, (0,))[..., None, :, :]  # against every effect
+        effs = ax @ ks @ ax
+        cache = (g, ks, a, ax, np.sqrt(lam), u)
         return effs, cache
 
     def grad_x(self, f_effs, cache):
         """Pull back d f = sum_i Tr[F_i d E_i] to the parameter vector."""
-        g, ks, a, beta, u = cache
-        ak = a[..., None, :, :]  # A = S^{-1/2}, against every effect
-        # collect the dA terms: Q = sum_i (K_i A F_i + F_i A K_i)
-        q = (ks @ ak @ f_effs + f_effs @ ak @ ks).sum(-3)
+        g, ks, a, ax, beta, u = cache
+        # collect the dA terms: Q = sum_i Tr_ext(K_i (A x I) F_i + F_i (A x I) K_i)
+        q = partial_trace_mat((ks @ ax @ f_effs + f_effs @ ax @ ks).sum(-3), self.dims, (0,))
         # dA = -A dB A with B = S^{1/2}; dB solves B dB + dB B = dS, which in
         # the eigenbasis of B is elementwise division by beta_i + beta_j.
         uh = u.conj().swapaxes(-1, -2)
         yt = uh @ (-a @ q @ a) @ u
         denom = beta[..., :, None] + beta[..., None, :]
         z = u @ (yt / denom) @ uh
-        # Coefficient of dK_i: C_i = A F_i A + Z.
-        c = ak @ f_effs @ ak + z[..., None, :, :]
+        # Coefficient of dK_i: C_i = (A x I) F_i (A x I) + Z x I.
+        c = ax @ f_effs @ ax + expand_mat(z, self.dims, (0,))[..., None, :, :]
         c = (c + c.conj().swapaxes(-1, -2)) / 2
         return pack_complex(2.0 * g @ c, self.shape)
 
-    def init_from_povm(self, povm: Povm):
-        """x whose effects are povm's.  A POVM with more than k effects has
-        its surplus folded into the k-th, so that they still sum to I; one
-        with fewer is padded with near-zero effects."""
-        effs = list(povm.effects)
+    def init_from_effects(self, effs):
+        """x whose effects are effs, PSD matrices whose Tr_ext sum to I.
+        More than k of them have their surplus folded into the k-th, so that
+        they still sum to I; fewer are padded with near-zero effects."""
+        effs = list(effs)
         if len(effs) > self.k:
             effs[self.k - 1:] = [sum(effs[self.k - 1:])]
         g = np.array([psd_factor(e).conj().T for e in effs])
         if g.shape[0] < self.k:
-            g = np.concatenate([g, 1e-6 * np.ones((self.k - g.shape[0],
-                                                   self.dim, self.dim))])
+            g = np.concatenate([g, 1e-6 * np.ones((self.k - g.shape[0],) + self.shape[1:])])
         return pack_complex(g, self.shape)
 
 
@@ -264,8 +268,8 @@ def classical_mi_max(rho: DensityOperator, outcomes_per_side: int,
         grad = np.concatenate([pa.grad_x(ga, ca), pb.grad_x(gb, cb)], axis=-1)
         return -val, -grad
 
-    init = np.concatenate([pa.init_from_povm(default_ic_povm(da)),
-                           pb.init_from_povm(default_ic_povm(db))])
+    init = np.concatenate([pa.init_from_effects(default_ic_povm(da).effects),
+                           pb.init_from_effects(default_ic_povm(db).effects)])
     opt = minimize_penalized(neg_fun, [], pa.n_params + pb.n_params, cfg, inits=[init])
     value = -opt.value
     mi_q = mutual_information(rho)

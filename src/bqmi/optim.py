@@ -2,8 +2,8 @@
 whose line search starts at the full quasi-Newton step, doubles it while
 Armijo holds and the slope stays steep, and otherwise halves it until Armijo
 holds; finite-difference gradient validation; Dykstra alternating projections
-onto convex sets of Hermitian matrices; and solve_marginal_problem, the one
-constrained-state solver behind the broadcast, squashed and CEMI bounds."""
+onto convex sets of Hermitian matrices; and solve_marginal_problem, the
+constrained-state solver behind the n-copy broadcast bound."""
 
 from __future__ import annotations
 
@@ -54,9 +54,13 @@ class DimensionCapError(ValueError):
     """Joint dimension would exceed the configured cap."""
 
 
-# The errors by which a solver fails, rather than its input: a run that did
-# not converge, a non-finite objective, an eigensolver that did not converge.
-SOLVER_FAILURES = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
+class SolverError(RuntimeError):
+    """A solver found no result: no convergence, or no feasible candidate."""
+
+
+# The errors by which a solver fails, rather than its input or a bug: no
+# result, a non-finite objective, an eigensolver that did not converge.
+SOLVER_FAILURES = (SolverError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def check_param_cap(n_params, what):
@@ -426,7 +430,7 @@ def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
 
     Each set must expose name, project(X) and residual(X).  Returns a
     Hermitian matrix whose residual against every set is at most tol.
-    Raises RuntimeError with every set's final residual on non-convergence.
+    Raises SolverError with every set's final residual on non-convergence.
     """
     x = np.asarray(x, dtype=complex)
     x = (x + x.conj().T) / 2
@@ -439,7 +443,7 @@ def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
         res = [(s.name, s.residual(x)) for s in sets]  # a list: names may repeat
         if max(r for _, r in res) <= tol:
             return (x + x.conj().T) / 2
-    raise RuntimeError(f"dykstra_project did not converge; residuals {res}")
+    raise SolverError(f"dykstra_project did not converge; residuals {res}")
 
 
 # ---------------------------------------------------------------------------
@@ -654,81 +658,73 @@ def entropy_combo(sigma, dims, terms, w=None):
     return f, fmat
 
 
+def candidate_matrices(candidates, d):
+    """Each candidate, a matrix or an object with a .mat, as a complex d x d
+    matrix, in a generator; raises ValidationError on any other shape."""
+    for c in candidates:
+        c = np.asarray(getattr(c, "mat", c), dtype=complex)
+        if c.shape != (d, d):
+            raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
+        yield c
+
+
 @dataclass
 class MarginalSolution:
     """Best feasible joint found by solve_marginal_problem."""
 
     value: float  # the entropy combination at joint
     joint: np.ndarray
-    residuals: list  # Frobenius marginal deviation, one per fixed block
+    residuals: list  # Frobenius marginal deviation, one per copy
     feasible: list  # every projected candidate that met the tolerance
     diagnostics: dict
 
 
-def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> MarginalSolution:
-    """Minimize an entropy combination over joint states with fixed marginals.
+def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
+                           candidates) -> MarginalSolution:
+    """Minimize an entropy combination over n-copy joint states whose every
+    copy has the marginal target.
 
-    blocks: the joint's contiguous factor groups in tensor order, each a
-    (dims, target) pair whose target is the block's fixed marginal, or None
-    for a free block; at least one block is fixed.  terms: entropy_combo
-    terms over the concatenated factor dims.  candidates: extra starting
-    joints (matrices or objects with a .mat), consumed only after the
-    BQ_MAX_DIM check on the joint dimension; the product of the targets,
-    maximally mixed on free blocks, always comes first.
+    dims: one copy's factor dims; the joint's factors are n such copies in
+    tensor order.  terms: entropy_combo terms over the joint's factor dims.
+    candidates: extra starting joints (matrices or objects with a .mat),
+    consumed only after the BQ_MAX_DIM check on the joint dimension; the
+    product target^(x)n always comes first.
 
-    Any PSD joint with these marginals lives in the product of the targets'
-    supports, the range of W = (x) (support basis of each block), so the
-    whole solve runs there, where each target is full rank and the product
-    candidate is an interior point.  All fixed marginals form one
-    constraint, a MarginalSet over the compressed blocks.  The DensityParam
+    Any PSD joint with these marginals lives in the n-fold product of the
+    target's support, the range of W = V^(x)n with V a support basis, so
+    the whole solve runs there, where the target is full rank and the
+    product candidate is an interior point.  All n marginals form one
+    constraint, a MarginalSet over the compressed copies.  The DensityParam
     descent from the compressed candidates takes it as its one penalty, so
     each point costs two pull-backs (objective and penalty); the Dykstra
     projection of the descent's optimum and of every candidate alternates
     between the PSD cone and that set, whose marginals fix the trace.  W is
-    a BlockIsometry, applied block by block to compress the candidates, to
+    a BlockIsometry, applied copy by copy to compress the candidates, to
     take the marginal entropies and their gradients (entropy_combo) and to
     embed the projected joints back; no full-space matrix of W is formed.
-    Free and full-rank blocks have the identity as their basis, so a
-    full-rank problem runs the same code on the whole space.  The feasible
-    embedded joint with the lowest exact value is returned.  Raises
-    DimensionCapError above the cap and RuntimeError when no candidate meets
-    TOL_RESIDUAL.
+    A full-rank target has the identity as V, so it runs the same code on
+    the whole space.  The feasible embedded joint with the lowest exact
+    value is returned.  Raises DimensionCapError above the cap and
+    SolverError when no candidate meets TOL_RESIDUAL.
     """
-    dims = tuple(d for bdims, _ in blocks for d in bdims)
+    copy_dims = tuple(dims)
+    dims = copy_dims * n
     d = math.prod(dims)
     check_param_cap(2 * d * d, f"solve_marginal_problem on a {d}-dim joint")
 
-    fixed = []  # (factor indices, target) per fixed block
-    parts = []  # factors of the product candidate
-    bases = []  # support basis per block; identity on free and full-rank ones
-    compressed = []  # (block position, target within its support)
-    start = 0
-    for k, (bdims, target) in enumerate(blocks):
-        bd = math.prod(bdims)
-        basis = np.eye(bd)
-        if target is None:
-            parts.append(basis / bd)
-        else:
-            target = np.asarray(target, dtype=complex)
-            fixed.append((tuple(range(start, start + len(bdims))), target))
-            parts.append(target)
-            lam, v = np.linalg.eigh(target)
-            if (lam <= SUPPORT_CUTOFF).any():
-                basis = v[:, lam > SUPPORT_CUTOFF]
-                target = basis.conj().T @ target @ basis
-            compressed.append((k, target))
-        bases.append(basis)
-        start += len(bdims)
-    w = BlockIsometry([bdims for bdims, _ in blocks], bases)
+    target = np.asarray(target, dtype=complex)
+    basis, compressed = np.eye(target.shape[0]), target
+    lam, v = np.linalg.eigh(target)
+    if (lam <= SUPPORT_CUTOFF).any():
+        basis = v[:, lam > SUPPORT_CUTOFF]
+        compressed = basis.conj().T @ target @ basis
+    w = BlockIsometry([copy_dims] * n, [basis] * n)
+    # compressed candidates, each seeding a restart; the full-space matrices
+    # are dropped as they are compressed
+    cands = [w.compress(c) for c in candidate_matrices(
+        itertools.chain([functools.reduce(np.kron, [target] * n)], candidates), d)]
 
-    cands = []  # compressed candidates, each seeding a restart
-    for c in itertools.chain([functools.reduce(np.kron, parts)], candidates):
-        c = np.asarray(getattr(c, "mat", c), dtype=complex)
-        if c.shape != (d, d):
-            raise ValidationError(f"warm start has shape {c.shape}, expected {(d, d)}")
-        cands.append(w.compress(c))
-
-    marginals = MarginalSet(w.cdims, [((k,), t) for k, t in compressed])
+    marginals = MarginalSet(w.cdims, [((k,), compressed) for k in range(n)])
     par = DensityParam(math.prod(w.cdims))
     # minimize_penalized evaluates the objective and then the penalty on the
     # same stack of points, so one stacked sigma serves both.  The cache
@@ -749,6 +745,7 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
                              inits=[par.init_from_matrix(c) for c in cands])
     pool = [par.sigma(opt.argmin)[0]] + cands
     sets = [PsdSet(), marginals]
+    copies = [tuple(range(k * len(copy_dims), (k + 1) * len(copy_dims))) for k in range(n)]
 
     best = None
     feasible = []
@@ -756,20 +753,20 @@ def solve_marginal_problem(blocks, terms, cfg: OptimizerConfig, candidates) -> M
     for cand in pool:
         try:
             x = dykstra_project(cand, sets, tol=1e-10, max_sweeps=5000)
-        except RuntimeError as e:
+        except SOLVER_FAILURES as e:
             failures.append(str(e))
             continue
         val = entropy_combo(x, dims, terms, w)[0]
         x = w.embed(x)
-        res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - t)) for idx, t in fixed]
-        if max(res, default=0.0) > TOL_RESIDUAL:
+        res = [float(np.linalg.norm(partial_trace_mat(x, dims, idx) - target)) for idx in copies]
+        if max(res) > TOL_RESIDUAL:
             continue
         feasible.append(x)
         if best is None or val < best[0]:
             best = (val, x, res, cand)
     if best is None:
-        raise RuntimeError("no candidate could be projected onto the marginal "
-                           "constraints: " + "; ".join(failures))
+        raise SolverError("no candidate could be projected onto the marginal "
+                          "constraints: " + "; ".join(failures))
     val, x, res, cand = best
     diag = opt.summary()
     diag["pre_projection_value"] = float(entropy_combo(cand, dims, terms, w)[0])

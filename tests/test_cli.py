@@ -11,6 +11,7 @@ import bqmi.cli
 import bqmi.entms
 from bqmi.cli import main
 from bqmi.entms import ChainReport
+from bqmi.optim import SolverError
 from bqmi.states import load_state, random_density, save_state
 
 
@@ -176,7 +177,7 @@ def test_chain_solver_failure_exits_3(tmp_path, monkeypatch):
     run(["state", "--family", "cc", "--out", str(cc)])
 
     def fail(*args, **kwargs):
-        raise RuntimeError("dykstra_project did not converge")
+        raise SolverError("dykstra_project did not converge")
 
     monkeypatch.setattr(bqmi.entms, "esq_upper", fail)
     out = tmp_path / "chain.json"
@@ -186,6 +187,21 @@ def test_chain_solver_failure_exits_3(tmp_path, monkeypatch):
     assert "2esq" not in doc["entries"] and "2ecsq" in doc["entries"]
     assert "esq failed: dykstra_project did not converge" in doc["notes"]
     assert "missing entries: ['2esq']" in doc["notes"]
+
+
+def test_chain_bug_in_a_solver_raises(tmp_path, monkeypatch):
+    # a bug is neither a note nor exit 3: it leaves bqmi as a traceback
+    cc = tmp_path / "cc.json"
+    run(["state", "--family", "cc", "--out", str(cc)])
+
+    def bug(*args, **kwargs):
+        raise NotImplementedError("bug in eic")
+
+    monkeypatch.setattr(bqmi.entms, "eic_lower", bug)
+    with pytest.raises(NotImplementedError, match="bug in eic"):
+        run(["chain", "--in", str(cc), "--restarts", "1", "--max-iters", "5",
+             "--out", str(tmp_path / "chain.json")])
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_chain_note_mentioning_failed_is_not_a_failure(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from bqmi.entms import (
     esq_upper,
 )
 from bqmi.measures import Povm, default_ic_povm
-from bqmi.optim import BoundedValue, DimensionCapError, OptimizerConfig
+from bqmi.optim import BoundedValue, DimensionCapError, OptimizerConfig, SolverError
 from bqmi.qcore import (
     DensityOperator,
     ValidationError,
@@ -165,8 +165,8 @@ def test_flag_extension_rejects_a_non_positive_flag_dim(flag_dim):
 
 
 def test_esq_large_rank_deficient_block_stays_small():
-    # one 2 x 64 block of rank 64 beside a free E: a K_k of the (B, E)
-    # marginal would have 64² · 64² entries (268 MB), W_k has 128 · 64
+    # rho's 2 x 64 block of rank 64 next to E: a K_k of the (B, E) marginal
+    # would have 64² · 64² entries (268 MB), W_k has 128 · 64
     tracemalloc.start()
     try:
         bv = esq_upper(random_density(128, 64, seed=0), 2,
@@ -176,6 +176,22 @@ def test_esq_large_rank_deficient_block_stays_small():
         tracemalloc.stop()
     assert bv.residuals["ab_marginal"] < 1e-8
     assert peak < 64 * 2 ** 20
+
+
+def test_esq_werner_half_with_the_flag_warm_start():
+    # as chain_report runs it: E as large as rho, seeded with the flag
+    # extension of ecsq's ensemble
+    rho = werner_state(0.5)
+    ens = ecsq_upper(rho, None, CFG).diagnostics["ensemble"]
+    warm = classical_flag_extension(ens, "squashed", rho.dim)
+    bv = esq_upper(rho, rho.dim, CFG, warm_starts=[warm])
+    assert bv.residuals["ab_marginal"] <= 1e-10
+    assert bv.value <= 0.106
+
+
+def test_extension_rejects_a_warm_start_of_the_wrong_shape():
+    with pytest.raises(ValidationError, match="warm start has shape"):
+        esq_upper(bell_state(), 2, CFG, warm_starts=[np.eye(4) / 4])
 
 
 def test_esq_dimension_cap_enforced(monkeypatch):
@@ -280,13 +296,16 @@ def test_chain_report_rejects_empty_or_nonpositive_copy_counts(ns):
 
 
 def test_chain_report_lets_bugs_raise(monkeypatch):
-    # a programming error is not a solver failure: it must not become a note
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
+    # a programming error is not a solver failure: it must not become a note;
+    # NotImplementedError is a RuntimeError, but not a SolverError
+    for solver, error in (("esq_upper", TypeError), ("eic_lower", NotImplementedError)):
+        def broken(*args, error=error, **kwargs):
+            raise error("bug")
 
-    monkeypatch.setattr(bqmi.entms, "esq_upper", broken)
-    with pytest.raises(TypeError, match="bug"):
-        chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1,), name="cc")
+        monkeypatch.setattr(bqmi.entms, solver, broken)
+        with pytest.raises(error, match="bug"):
+            chain_report(cc_state([[0.5, 0], [0, 0.5]]), CFG, ns=(1,), name="cc")
+        monkeypatch.undo()
 
 
 CHAIN_ENTRIES = {"2ecsq", "2esq", "2cemi", "eic"}
@@ -305,7 +324,7 @@ def test_chain_report_after_a_failed_copy_count(monkeypatch):
 
     def fail_at_two(rho, n, cfg, warm_starts=None):
         if n == 2:
-            raise RuntimeError("no convergence at n=2")
+            raise SolverError("no convergence at n=2")
         return real(rho, n, cfg, warm_starts=warm_starts)
 
     monkeypatch.setattr(bqmi.broadcast, "broadcast_mi_upper", fail_at_two)
@@ -319,13 +338,13 @@ def stub_chain_solvers(monkeypatch, ecsq, eic, ib, failing=()):
     """Replace the five solvers of chain_report with stubs that return fixed
     values: ecsq (with cc's two-member spectral ensemble, S(p) = 1 bit), esq
     0.25, cemi 0.125, eic and the n-copy broadcast MI ib[n].  A solver named
-    in failing raises RuntimeError("stub") instead."""
+    in failing raises SolverError("stub") instead."""
     ensemble = spectral_ensemble(cc_state([[0.5, 0], [0, 0.5]]))
 
     def stub(key, value, direction="upper", **diagnostics):
         def solve(*args, **kwargs):
             if key in failing:
-                raise RuntimeError("stub")
+                raise SolverError("stub")
             return BoundedValue(value, direction, key, {}, dict(diagnostics))
         return solve
 

@@ -140,9 +140,32 @@ def test_classical_mi_max_dimension_cap_enforced(monkeypatch):
 
 def test_povm_param_folds_surplus_effects_into_the_last():
     sic = default_ic_povm(2)
-    effs, _ = PovmParam(2, 2).effects(PovmParam(2, 2).init_from_povm(sic))
+    effs, _ = PovmParam(2, 2).effects(PovmParam(2, 2).init_from_effects(sic.effects))
     assert np.allclose(effs[0], sic.effects[0], atol=1e-9)
     assert np.allclose(effs[1], sum(sic.effects[1:]), atol=1e-9)
+
+
+@pytest.mark.parametrize("dim,k,ext", [(3, 1, 2), (2, 2, 3)])
+def test_povm_param_with_extension_is_complete_and_its_gradient_exact(dim, k, ext):
+    # f = sum_i Re Tr[F_i E_i] + Tr[E_i²], so that dF/dE_i = F_i + 2 E_i
+    par = PovmParam(dim, k, ext)
+    rng = np.random.default_rng(dim * 10 + k)
+    h = rng.standard_normal((2, k, dim * ext, dim * ext))
+    f_effs = h[0] + 1j * h[1]
+    f_effs = f_effs + f_effs.conj().swapaxes(-1, -2)
+
+    def fun(x):
+        effs, cache = par.effects(x)
+        val = (np.einsum("kij,kji->", f_effs, effs) + np.einsum("kij,kji->", effs, effs)).real
+        return val, par.grad_x(f_effs + 2 * effs, cache)
+
+    for _ in range(3):
+        x = rng.standard_normal(par.n_params)
+        effs, _ = par.effects(x)
+        total = partial_trace_mat(effs.sum(0), (dim, ext), (0,))
+        assert np.abs(total - np.eye(dim)).max() < 1e-12
+        assert min(np.linalg.eigvalsh(e)[0] for e in effs) >= -1e-12
+        assert finite_diff_check(fun, x) < 1e-7
 
 
 def test_classical_mi_max_product_state_is_zero():

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) of the qcore tensor helpers, of the
 stacked kernels the solvers evaluate their restarts with (the entropy sum
-among them), of the block isometry the constrained-state solver compresses
-with, of the bounds of the mutual information, and of the shared
-constrained-state solver, on small random layouts and states."""
+among them), of the block isometry the constrained-state solvers compress
+with, of the bounds of the mutual information, and of the broadcast and
+extension solvers, on small random layouts and states."""
 
 import functools
 import math
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqmi.entms import _ensemble_objective_terms
+from bqmi.entms import _ensemble_objective_terms, cemi_upper, esq_upper
 from bqmi.measures import PovmParam, _classical_mi_and_grads
 from bqmi.optim import (
     BlockIsometry,
@@ -247,19 +247,20 @@ def test_mutual_information_within_its_bounds(layout, seed, data):
 
 
 @FAST
-@given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4), BATCHES,
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(2, 4), st.integers(1, 3), BATCHES,
        st.integers(0, 2 ** 32 - 1))
-def test_stacked_measurement_kernels_match_single_calls(da, db, k_out, batch, seed):
+def test_stacked_measurement_kernels_match_single_calls(da, db, k_out, ext, batch, seed):
     rng = np.random.default_rng(seed)
-    pa, pb = PovmParam(da, k_out), PovmParam(db, k_out)
+    pa, pb = PovmParam(da, k_out, ext), PovmParam(db, k_out)
     xa = rng.standard_normal(batch + (pa.n_params,))
     xb = rng.standard_normal(batch + (pb.n_params,))
     ea, ca = pa.effects(xa)
     eb, _ = pb.effects(xb)
     assert_slices_match([ea], lambda k: [pa.effects(xa[k])[0]], batch)
-    fa = random_stack(batch + (k_out,), da, rng)
+    fa = random_stack(batch + (k_out,), da * ext, rng)
     assert_slices_match([pa.grad_x(fa, ca)],
                         lambda k: [pa.grad_x(fa[k], pa.effects(xa[k])[1])], batch)
+    ea = partial_trace_mat(ea, (da, ext), (0,))  # a POVM on A
 
     rho = random_density(da * db, da * db, seed=seed % 1000, dims=(da, db)).mat
     assert_slices_match(_classical_mi_and_grads(rho, ea, eb),
@@ -286,32 +287,22 @@ def test_permute_factors_roundtrips(layout, shuffler):
     assert np.array_equal(back, m)
 
 
-def check_solution(blocks, terms):
-    sol = solve_marginal_problem(blocks, terms, CFG, ())
+def check_solution(dims, target, n, terms):
+    sol = solve_marginal_problem(dims, target, n, terms, CFG, ())
     x = sol.joint
     assert np.abs(x - x.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(x)[0] >= -1e-9
     assert abs(x.trace() - 1.0) < 1e-9
-    dims = tuple(d for bdims, _ in blocks for d in bdims)
-    start = 0
-    for bdims, target in blocks:
-        idx = tuple(range(start, start + len(bdims)))
-        start += len(bdims)
-        if target is not None:
-            assert np.linalg.norm(partial_trace_mat(x, dims, idx) - target) <= TOL_RESIDUAL
-    # supported in the product of the targets' supports
-    supports = []
-    for bdims, target in blocks:
-        if target is None:
-            supports.append(np.eye(int(np.prod(bdims))))
-        else:
-            lam, v = np.linalg.eigh(target)
-            v = v[:, lam > 1e-9]
-            supports.append(v @ v.conj().T)
-    p = functools.reduce(np.kron, supports)
+    m = len(dims)
+    for k in range(n):
+        marginal = partial_trace_mat(x, dims * n, tuple(range(k * m, (k + 1) * m)))
+        assert np.linalg.norm(marginal - target) <= TOL_RESIDUAL
+    # supported in the n-fold product of the target's support
+    lam, v = np.linalg.eigh(target)
+    v = v[:, lam > 1e-9]
+    p = functools.reduce(np.kron, [v @ v.conj().T] * n)
     assert np.linalg.norm(x - p @ x @ p) <= 1e-9
-    parts = [np.eye(int(np.prod(b))) / np.prod(b) if t is None else t for b, t in blocks]
-    product, _ = entropy_combo(functools.reduce(np.kron, parts), dims, terms)
+    product, _ = entropy_combo(functools.reduce(np.kron, [target] * n), dims * n, terms)
     assert sol.value <= product + 1e-9
 
 
@@ -321,13 +312,21 @@ def test_broadcast_solve_is_feasible_and_beats_product(rank, seed):
     rho = random_density(4, rank, seed=seed)
     # I(A1A2 : B1B2) over two copies with both copy marginals fixed to rho
     terms = [(1.0, (0, 2)), (1.0, (1, 3)), (-1.0, None)]
-    check_solution([((2, 2), rho.mat)] * 2, terms)
+    check_solution((2, 2), rho.mat, 2, terms)
 
 
 @FAST
-@given(st.sampled_from([1, 2]), st.sampled_from([1, 2, 4]), st.integers(0, 10 ** 6))
-def test_extension_solve_is_feasible_and_beats_product(dim_e, rank, seed):
+@given(st.sampled_from([esq_upper, cemi_upper]), st.sampled_from([1, 2]),
+       st.sampled_from([1, 2, 4]), st.integers(0, 10 ** 6))
+def test_extension_solve_extends_rho_and_beats_product(solver, dim, rank, seed):
     rho = random_density(4, rank, seed=seed)
-    # half of I(A:BE) - I(A:E) over extensions of rho by a free E block
-    terms = [(0.5, (1, 2)), (-0.5, None), (-0.5, (2,)), (0.5, (0, 2))]
-    check_solution([((2, 2), rho.mat), ((dim_e,), None)], terms)
+    bv = solver(rho, dim, CFG)
+    assert bv.residuals["ab_marginal"] <= 1e-10
+    ext = bv.diagnostics["extension"]
+    # supported in supp(rho) (x) E
+    lam, v = np.linalg.eigh(rho.mat)
+    v = v[:, lam > 1e-9]
+    p = np.kron(v @ v.conj().T, np.eye(ext.dim // 4))
+    assert np.linalg.norm(ext.mat - p @ ext.mat @ p) <= 1e-9
+    # rho (x) I/dim E is a start, and there both bounds are I(rho)/2
+    assert bv.value <= 0.5 * mutual_information(rho) + 1e-9
