@@ -32,8 +32,9 @@ DEFAULT_DIM_CAP = 256
 SUPPORT_CUTOFF = 1e-9
 # minimize_penalized: the step of each descent's first iteration, as a
 # multiple of -grad, the number of L-BFGS (s, y) pairs a descent keeps, the
-# penalty weights each restart is taken through in turn, and the relative
-# decrease below which a descent stops.
+# penalty weights each restart is taken through in turn (with no constraint,
+# one descent of len(PENALTY_SCHEDULE) * max_iters iterations instead), and
+# the relative decrease below which a descent stops.
 STEP_INIT = 0.5
 LBFGS_MEMORY = 5
 PENALTY_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
@@ -236,13 +237,14 @@ def _descend(x, max_iters, w):
     return x, f, it, False
 
 
-def _restart(x, cfg):
-    """One restart: a _descend per penalty stage, then one evaluation at the
-    optimum.  A generator like _descend.  Returns (penalized value, x,
-    objective value, constraint values, converged, iterations)."""
+def _restart(x, stages):
+    """One restart: a _descend per (penalty weight, iteration ceiling) stage,
+    then one evaluation at the optimum.  A generator like _descend.  Returns
+    (penalized value, x, objective value, constraint values, converged,
+    iterations)."""
     total, converged, f_pen = 0, True, np.inf
-    for w in PENALTY_SCHEDULE:
-        x, f_pen, it, conv = yield from _descend(x, cfg.max_iters, w)
+    for w, iters in stages:
+        x, f_pen, it, conv = yield from _descend(x, iters, w)
         total += it
         converged = converged and conv
     f_obj, _, cons = yield x
@@ -272,10 +274,13 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     of points x of shape (m, param_dim) and return (values, grads) of shapes
     (m,) and (m, param_dim), row k belonging to point k alone.  A constraint
     is added as w * value with w ramped over PENALTY_SCHEDULE, each
-    restart through its own stages.  Each stage is an L-BFGS descent
-    (_descend) with a fresh memory, since w changes the objective; its line
-    search starts at the full quasi-Newton step, doubles it while Armijo
-    holds and the slope stays steep, and halves it until Armijo holds.
+    restart through its own stages of at most cfg.max_iters iterations.
+    Each stage is an L-BFGS descent (_descend) with a fresh memory, since w
+    changes the objective; its line search starts at the full quasi-Newton
+    step, doubles it while Armijo holds and the slope stays steep, and
+    halves it until Armijo holds.  With no constraint every stage would
+    minimize the same function, so a restart is one descent of at most
+    len(PENALTY_SCHEDULE) * cfg.max_iters iterations, the same ceiling.
     Every round, the points that all live restarts ask for are evaluated as
     one stack, so each restart follows the trajectory it would follow alone
     (its L-BFGS memory lives in its own generator).  inits seeds the first restarts; the
@@ -287,6 +292,10 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     OptimResult (lowest final penalized value, ties broken by restart index).
     """
     inits = list(inits) if inits is not None else []
+    if constraints:
+        stages = [(w, cfg.max_iters) for w in PENALTY_SCHEDULE]
+    else:
+        stages = [(0.0, len(PENALTY_SCHEDULE) * cfg.max_iters)]
     runs = []
     for r in range(cfg.restarts):
         if r < len(inits):
@@ -295,7 +304,7 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
                 raise ValueError(f"init {r} has size {x.size}, expected {param_dim}")
         else:
             x = np.random.default_rng(cfg.master_seed + r).standard_normal(param_dim)
-        runs.append(_restart(x, cfg))
+        runs.append(_restart(x, stages))
     points = {r: next(run) for r, run in enumerate(runs)}
     results = []
     while points:

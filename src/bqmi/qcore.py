@@ -162,6 +162,8 @@ def partial_trace_mat(mat, dims, keep_idx):
     batch = mat.shape[:-2]
     dims = tuple(dims)
     to_split, _, _, dk, dd = _split_axes(dims, tuple(keep_idx), len(batch))
+    if dd == 1:  # nothing to trace; a copy, so no in-place step reaches mat
+        return mat.reshape(batch + (dk, dk)).copy()
     t = mat.reshape(batch + dims * 2).transpose(to_split).reshape(batch + (dk, dd, dk, dd))
     return np.einsum("...ijkj->...ik", t)
 
@@ -176,6 +178,8 @@ def expand_mat(mat, dims, keep_idx):
     batch = mat.shape[:-2]
     dims = tuple(dims)
     _, from_split, split_dims, dk, dd = _split_axes(dims, tuple(keep_idx), len(batch))
+    if dd == 1:  # mat (x) I_1 is mat; a float copy, as below
+        return mat.reshape(batch + (dk, dk)) * 1.0
     # mat (x) I_dd as a (..., dk, dd, dk, dd) block, built by broadcasting,
     # laid out as the kept factors then the others; permute back.
     big = mat[..., :, None, :, None] * np.eye(dd)[:, None, :]

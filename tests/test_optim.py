@@ -150,6 +150,74 @@ def test_minimize_penalized_drops_restart_whose_eigensolver_fails():
         minimize_penalized(broken, [], 4, OptimizerConfig(restarts=2, max_iters=50))
 
 
+def rosenbrock(x):
+    a, b = x[:, 0], x[:, 1]
+    f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
+    g = np.stack([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)], -1)
+    return f, g
+
+
+def descend_alone(objective, x, max_iters):
+    """Drive one unweighted _descend from x by hand: the points it asked
+    for, and its (x, f, iterations, converged)."""
+    asked, descent = [], optim._descend(x, max_iters, 0.0)
+    point = next(descent)
+    try:
+        while True:
+            asked.append(point)
+            f, g = objective(point[None])
+            point = descent.send((f[0], g[0], []))
+    except StopIteration as stop:
+        return asked, stop.value
+
+
+def test_unconstrained_restart_is_one_descent_of_the_whole_ceiling():
+    # Rosenbrock from (-1.2, 1) is far from converged after 8 iterations.
+    # With no constraint a restart is a single descent with a ceiling of
+    # len(PENALTY_SCHEDULE) * max_iters, not one descent per penalty stage.
+    start = np.array([-1.2, 1.0])
+    res = minimize_penalized(rosenbrock, [], 2, OptimizerConfig(restarts=1, max_iters=2),
+                             inits=[start])
+    assert res.iterations_used == len(optim.PENALTY_SCHEDULE) * 2
+    assert res.converged is False
+    _, (x, f, iters, converged) = descend_alone(rosenbrock, start, res.iterations_used)
+    assert (iters, converged) == (res.iterations_used, False)
+    assert np.array_equal(res.argmin, x)
+    assert res.value == f
+
+
+def test_unconstrained_restart_evaluates_once_after_its_converged_descent():
+    # A spy sees the points of one converged descent, then one more round:
+    # the final evaluation at the optimum.
+    _, _, objective, _ = quadratic_problem()
+    seen = []
+
+    def spy(x):
+        seen.extend(x.copy())
+        return objective(x)
+
+    start, ceiling = np.full(5, 0.3), len(optim.PENALTY_SCHEDULE) * 300
+    res = minimize_penalized(spy, [], 5, OptimizerConfig(restarts=1, max_iters=300),
+                             inits=[start])
+    asked, (x, _, iters, converged) = descend_alone(objective, start, ceiling)
+    assert converged and iters < ceiling
+    assert len(seen) == len(asked) + 1
+    assert all(np.array_equal(a, b) for a, b in zip(seen, asked))
+    assert np.array_equal(seen[-1], x)
+    assert np.array_equal(res.argmin, x)
+    assert res.converged
+
+
+def test_unconstrained_descent_ignores_the_penalty_weights(monkeypatch):
+    _, _, objective, _ = quadratic_problem()
+    cfg = OptimizerConfig(restarts=3, max_iters=20)
+    base = minimize_penalized(objective, [], 5, cfg)
+    monkeypatch.setattr(optim, "PENALTY_SCHEDULE", (1.0, 3.0, 7.0, 1e6))
+    other = minimize_penalized(objective, [], 5, cfg)
+    assert_same_run(other, base)
+    assert other.restart_index == base.restart_index
+
+
 def assert_same_run(together, alone):
     assert np.array_equal(together.argmin, alone.argmin)
     assert together.value == alone.value

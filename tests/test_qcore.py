@@ -88,6 +88,24 @@ def test_expand_mat_is_adjoint_of_partial_trace():
     assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("dims, keep", [((6, 1), (0,)), ((2, 1, 3), (0, 2))])
+def test_traced_factors_of_dimension_one_return_a_copy(batch, dims, keep):
+    # The general path's einsum and broadcast on a traced block of dimension
+    # 1, against the shortcut that skips them.
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal(batch + (6, 6)) + 1j * rng.standard_normal(batch + (6, 6))
+    kept = m.copy()
+    traced = partial_trace_mat(m, dims, keep)
+    assert np.array_equal(traced, np.einsum("...ijkj->...ik", m.reshape(batch + (6, 1, 6, 1))))
+    expanded = expand_mat(m, dims, keep)
+    oracle = (m[..., :, None, :, None] * np.eye(1)[:, None, :]).reshape(batch + (6, 6))
+    assert np.array_equal(expanded, oracle)
+    traced += 1.0
+    expanded *= 2.0
+    assert np.array_equal(m, kept)
+
+
 def test_permute_factors_roundtrip():
     dims = (2, 3, 2)
     m = random_herm(12, 9)
