@@ -97,7 +97,7 @@ def cmd_state(args):
         params["probs"] = json.loads(args.probs)
     if args.family == "random":
         params["dim"] = args.dim
-        params["rank"] = args.rank if args.rank else args.dim
+        params["rank"] = args.dim if args.rank is None else args.rank
     rho = make_state(StateSpec(args.family, params, seed=args.seed))
     save_state(args.out, rho)
     _emit(f"wrote {args.out} ({rho.dim}x{rho.dim}, "

@@ -23,7 +23,6 @@ from .measures import Povm, PovmParam, default_ic_povm, local_statistics, measur
 from .optim import (
     PENALTY_SCHEDULE,
     SOLVER_FAILURES,
-    SUPPORT_CUTOFF,
     BlockIsometry,
     BoundedValue,
     DimensionCapError,
@@ -45,6 +44,7 @@ from .qcore import (
     mutual_information,
     partial_trace_mat,
     shannon_entropy,
+    support,
     trace_distance,
 )
 from .states import Ensemble
@@ -107,9 +107,7 @@ def ecsq_upper(rho: DensityOperator, n_members, cfg: OptimizerConfig) -> Bounded
     Raises DimensionCapError when the 2 K r² parameters exceed those of the
     largest joint solve BQ_MAX_DIM admits.
     """
-    lam, v = np.linalg.eigh(rho.mat)
-    keep = lam > 1e-12
-    lam, v = lam[keep], v[:, keep]
+    lam, v = support(rho.mat)
     r = lam.size
     w = v * np.sqrt(lam)  # d x r; rho = w w†
     k = int(n_members) if n_members is not None else r * r
@@ -181,12 +179,11 @@ def _solve_extension(rho, layout, terms, cfg, warm_starts, method):
     d = layout.dim
     check_param_cap(2 * d * d, f"{method} on a {d}-dim joint")
     nf = len(rho.layout.factors)
-    lam, v = np.linalg.eigh(rho.mat)
-    keep = lam > SUPPORT_CUTOFF
+    lam, v = support(rho.mat)
     dim_e = d // rho.dim
-    w = BlockIsometry([rho.layout.dims, layout.dims[nf:]], [v[:, keep], np.eye(dim_e)])
-    par = PovmParam(int(keep.sum()), 1, dim_e)
-    root = np.repeat(np.sqrt(lam[keep]), dim_e)
+    w = BlockIsometry([rho.layout.dims, layout.dims[nf:]], [v, np.eye(dim_e)])
+    par = PovmParam(lam.size, 1, dim_e)
+    root = np.repeat(np.sqrt(lam), dim_e)
     scale = np.outer(root, root)  # sigma = scale * E_1, elementwise
 
     def objective(x):

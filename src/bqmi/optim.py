@@ -24,12 +24,10 @@ from .qcore import (
     partial_trace_mat,
     partial_transpose_mat,
     shannon_entropy,
+    support,
 )
 
 DEFAULT_DIM_CAP = 256
-# Eigenvalues of a fixed marginal above this span the support that
-# solve_marginal_problem projects in.
-SUPPORT_CUTOFF = 1e-9
 # minimize_penalized: the step of each descent's first iteration, as a
 # multiple of -grad, the number of L-BFGS (s, y) pairs a descent keeps, the
 # penalty weights each restart is taken through in turn (with no constraint,
@@ -700,21 +698,21 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
     product target^(x)n always comes first.
 
     Any PSD joint with these marginals lives in the n-fold product of the
-    target's support, the range of W = V^(x)n with V a support basis, so
-    the whole solve runs there, where the target is full rank and the
-    product candidate is an interior point.  All n marginals form one
-    constraint, a MarginalSet over the compressed copies.  The DensityParam
-    descent from the compressed candidates takes it as its one penalty, so
-    each point costs two pull-backs (objective and penalty); the Dykstra
-    projection of the descent's optimum and of every candidate alternates
-    between the PSD cone and that set, whose marginals fix the trace.  W is
-    a BlockIsometry, applied copy by copy to compress the candidates, to
-    take the marginal entropies and their gradients (entropy_combo) and to
-    embed the projected joints back; no full-space matrix of W is formed.
-    A full-rank target has the identity as V, so it runs the same code on
-    the whole space.  The feasible embedded joint with the lowest exact
-    value is returned.  Raises DimensionCapError above the cap and
-    SolverError when no candidate meets TOL_RESIDUAL.
+    target's support, the range of W = V^(x)n with V its eigenvectors on
+    the support (qcore.support), so the whole solve runs there, where each
+    copy's target is diag(lambda), full rank, and the product candidate is
+    an interior point.  All n marginals form one constraint, a MarginalSet
+    over the compressed copies.  The DensityParam descent from the
+    compressed candidates takes it as its one penalty, so each point costs
+    two pull-backs (objective and penalty); the Dykstra projection of the
+    descent's optimum and of every candidate alternates between the PSD
+    cone and that set, whose marginals fix the trace.  W is a BlockIsometry,
+    applied copy by copy to compress the candidates, to take the marginal
+    entropies and their gradients (entropy_combo) and to embed the
+    projected joints back; no full-space matrix of W is formed.
+    The feasible embedded joint with the lowest exact value is returned.
+    Raises DimensionCapError above the cap and SolverError when no
+    candidate meets TOL_RESIDUAL.
     """
     copy_dims = tuple(dims)
     dims = copy_dims * n
@@ -722,18 +720,14 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
     check_param_cap(2 * d * d, f"solve_marginal_problem on a {d}-dim joint")
 
     target = np.asarray(target, dtype=complex)
-    basis, compressed = np.eye(target.shape[0]), target
-    lam, v = np.linalg.eigh(target)
-    if (lam <= SUPPORT_CUTOFF).any():
-        basis = v[:, lam > SUPPORT_CUTOFF]
-        compressed = basis.conj().T @ target @ basis
+    lam, basis = support(target)
     w = BlockIsometry([copy_dims] * n, [basis] * n)
     # compressed candidates, each seeding a restart; the full-space matrices
     # are dropped as they are compressed
     cands = [w.compress(c) for c in candidate_matrices(
         itertools.chain([functools.reduce(np.kron, [target] * n)], candidates), d)]
 
-    marginals = MarginalSet(w.cdims, [((k,), compressed) for k in range(n)])
+    marginals = MarginalSet(w.cdims, [((k,), np.diag(lam)) for k in range(n)])
     par = DensityParam(math.prod(w.cdims))
     # minimize_penalized evaluates the objective and then the penalty on the
     # same stack of points, so one stacked sigma serves both.  The cache

@@ -33,6 +33,8 @@ EIG_NEG_TOL = 1e-9
 ENTROPY_CLAMP = 1e-12
 # eigh_log2 takes the logarithm of max(eigenvalue, LOG_CLAMP).
 LOG_CLAMP = 1e-14
+# The eigenvalues above this span a state's support (support).
+SUPPORT_CUTOFF = 1e-12
 
 
 class ValidationError(ValueError):
@@ -284,3 +286,12 @@ def eigh_log2(mat):
     lam, v = np.linalg.eigh(mat)
     log = (v * np.log2(np.maximum(lam, LOG_CLAMP))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return lam, log
+
+
+def support(mat):
+    """The eigenvalues of the Hermitian mat above SUPPORT_CUTOFF, ascending,
+    and their eigenvectors as columns.  Those dropped from a state of
+    dimension <= 100 sum to at most 100 * SUPPORT_CUTOFF = TRACE_TOL."""
+    lam, v = np.linalg.eigh(mat)
+    keep = lam > SUPPORT_CUTOFF
+    return lam[keep], v[:, keep]

@@ -13,12 +13,11 @@ from .qcore import (
     SubsystemLayout,
     ValidationError,
     bipartite_layout,
+    support,
     tensor,
 )
 
 STATE_FORMAT = "bq-state-v1"
-# spectral_ensemble keeps the eigenvectors whose eigenvalue exceeds this.
-SPECTRAL_CUTOFF = 1e-12
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -141,6 +140,8 @@ def make_state(spec: StateSpec) -> DensityOperator:
         return cc_state(table)
     if fam == "product-mix":
         return product_mix_state(p.get("weight", 0.5))
+    if fam in ("werner", "isotropic") and "p" not in p:
+        raise ValidationError(f"{fam} state needs the parameter p (--p)")
     if fam == "werner":
         return werner_state(p["p"])
     if fam == "isotropic":
@@ -183,16 +184,12 @@ def canonical_ensembles(spec: StateSpec) -> Ensemble:
 
 
 def spectral_ensemble(rho: DensityOperator) -> Ensemble:
-    """Eigendecomposition ensemble {(lambda_i, |v_i><v_i|)}.  Always valid,
-    members need not be product states."""
-    lam, v = np.linalg.eigh(rho.mat)
-    members = []
-    for i in range(lam.size):
-        if lam[i] > SPECTRAL_CUTOFF:
-            members.append((float(lam[i]), DensityOperator(rho.layout, _proj(v[:, i]))))
-    probs = sum(p for p, _ in members)
-    members = [(p / probs, m) for p, m in members]
-    return Ensemble(tuple(members))
+    """Eigendecomposition ensemble {(lambda_i, |v_i><v_i|)} on rho's support.
+    Always valid, members need not be product states."""
+    lam, v = support(rho.mat)
+    total = sum(lam.tolist())
+    return Ensemble(tuple((p / total, DensityOperator(rho.layout, _proj(v[:, i])))
+                          for i, p in enumerate(lam.tolist())))
 
 
 def broadcast_layout(base: SubsystemLayout, n: int) -> SubsystemLayout:

@@ -10,8 +10,9 @@ from bqmi.broadcast import (
     growth_curve,
     sweep_warm_starts,
 )
+from bqmi.entms import cemi_upper, ecsq_upper, esq_upper
 from bqmi.optim import DimensionCapError, OptimizerConfig, dim_cap
-from bqmi.qcore import mutual_information, partial_trace_mat, trace_distance
+from bqmi.qcore import DensityOperator, mutual_information, partial_trace_mat, trace_distance
 from bqmi.states import (
     StateSpec,
     bell_state,
@@ -19,6 +20,7 @@ from bqmi.states import (
     cc_state,
     product_mix_state,
     random_density,
+    spectral_ensemble,
 )
 
 CFG = OptimizerConfig(restarts=3, max_iters=150)
@@ -75,18 +77,63 @@ def test_descent_runs_in_the_targets_support(monkeypatch):
 
 
 def test_full_rank_solve_runs_through_the_block_isometry(monkeypatch):
-    # a full-rank target's support basis is the identity: the solve takes the
-    # same block-isometry path as a rank-deficient one
+    # a full-rank target's support basis is its eigenbasis: the solve takes
+    # the same block-isometry path as a rank-deficient one
     built = []
 
     class Spy(optim.BlockIsometry):
         def __init__(self, block_dims, bases):
-            built.append([np.shape(b) for b in bases])
+            built.append(bases)
             super().__init__(block_dims, bases)
 
     monkeypatch.setattr(optim, "BlockIsometry", Spy)
-    broadcast_mi_upper(random_density(4, 4, seed=1), 2, OptimizerConfig(restarts=1, max_iters=5))
-    assert built == [[(4, 4), (4, 4)]]
+    rho = random_density(4, 4, seed=1)
+    broadcast_mi_upper(rho, 2, OptimizerConfig(restarts=1, max_iters=5))
+    assert [[np.shape(b) for b in bases] for bases in built] == [[(4, 4), (4, 4)]]
+    for v in built[0]:
+        compressed = v.conj().T @ rho.mat @ v
+        assert np.abs(compressed - np.diag(np.diag(compressed))).max() < 1e-12
+
+
+def near_cutoff_state(eps):
+    """random_density(4, 3, seed=2) with eps of its null vector mixed in: a
+    valid rank-4 state whose least eigenvalue, eps, is above TRACE_TOL, so a
+    solve that dropped it would build joints of trace 1 - eps."""
+    rho = random_density(4, 3, seed=2)
+    null = np.linalg.eigh(rho.mat)[1][:, 0]
+    return DensityOperator(rho.layout, (rho.mat + eps * np.outer(null, null.conj())) / (1 + eps))
+
+
+@pytest.mark.parametrize("eps", [2e-10, 5e-10])
+def test_rho_anchored_solves_keep_a_near_cutoff_eigenvalue(eps):
+    rho = near_cutoff_state(eps)
+    cfg = OptimizerConfig(restarts=1, max_iters=10)
+    bv = broadcast_mi_upper(rho, 2, cfg)
+    assert bv.residuals["marginal_max"] < 1e-8
+    assert 0.0 <= bv.value <= 2 * mutual_information(rho) + 1e-6
+    for solve in (esq_upper, cemi_upper):
+        bv = solve(rho, 2, cfg)
+        assert bv.residuals["ab_marginal"] < 1e-10
+        assert 0.0 <= bv.value <= 0.5 * mutual_information(rho) + 1e-6
+
+
+def test_rho_anchored_solves_agree_on_the_rank(monkeypatch):
+    # one support decision: the spectral ensemble's members, ecsq's default
+    # ensemble size rank² and the broadcast's descent dimension rank² at n=2
+    rho = near_cutoff_state(2e-10)
+    seen = []
+
+    class Spy(optim.DensityParam):
+        def __init__(self, dim, *args, **kw):
+            seen.append(dim)
+            super().__init__(dim, *args, **kw)
+
+    monkeypatch.setattr(optim, "DensityParam", Spy)
+    cfg = OptimizerConfig(restarts=1, max_iters=5)
+    broadcast_mi_upper(rho, 2, cfg)
+    assert len(spectral_ensemble(rho).members) == 4
+    assert ecsq_upper(rho, None, cfg).method == "purification-povm-ensemble(K=16)"
+    assert seen == [16]
 
 
 def test_definetti_upper_never_exceeds_cap():

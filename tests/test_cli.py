@@ -12,6 +12,7 @@ import bqmi.entms
 from bqmi.cli import main
 from bqmi.entms import ChainReport
 from bqmi.optim import SolverError
+from bqmi.qcore import DensityOperator
 from bqmi.states import load_state, random_density, save_state
 
 
@@ -35,6 +36,19 @@ def test_state_invalid_parameter_exits_2(tmp_path):
     rc = run(["state", "--family", "werner", "--p", "1.5",
               "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--family", "random", "--rank", "0"], "rank 0"),
+    (["--family", "random", "--rank", "-1"], "rank -1"),
+    (["--family", "werner"], "parameter p (--p)"),
+    (["--family", "isotropic"], "parameter p (--p)"),
+])
+def test_state_bad_or_missing_flag_exits_2_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.json"
+    assert run(["state", *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_measure_mi_exact(tmp_path, capsys):
@@ -89,6 +103,19 @@ def test_curve_cc_constant(tmp_path, capsys):
     assert lines[0] == "n,upper_bits,lower_bits,residual_max,classification"
     assert all(line.endswith("constant") for line in lines[1:])
     assert "constant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", [2e-10, 5e-10])
+def test_chain_and_curve_run_on_a_near_cutoff_eigenvalue(tmp_path, eps):
+    # a valid state whose least eigenvalue, eps, is above TRACE_TOL
+    rho = random_density(4, 3, seed=2)
+    null = np.linalg.eigh(rho.mat)[1][:, 0]
+    path = str(tmp_path / "near.json")
+    save_state(path, DensityOperator(
+        rho.layout, (rho.mat + eps * np.outer(null, null.conj())) / (1 + eps)))
+    flags = ["--in", path, "--restarts", "1", "--max-iters", "10"]
+    assert run(["chain", *flags, "--out", str(tmp_path / "chain.json")]) == 0
+    assert run(["curve", *flags, "--max-copies", "2", "--out", str(tmp_path / "c.csv")]) == 0
 
 
 def test_curve_cap_exits_4(tmp_path, monkeypatch):
