@@ -3,14 +3,15 @@ entanglement, bounded-dimension squashed entanglement and CEMI uppers, the
 PPT-relaxed measured-correlation lower bound, and the inequality-chain
 report.
 
-The squashed, CEMI and ensemble uppers run optim.minimize_penalized without
-penalties on a measures.PovmParam, which maps onto extensions or ensembles
-of rho exactly; eic_lower runs its own projected-gradient descent with
-Dykstra projections.
+Every solver runs on optim.minimize_penalized.  The squashed, CEMI and
+ensemble uppers descend without penalties on a measures.PovmParam, which
+maps onto extensions or ensembles of rho exactly; eic_lower descends on an
+optim.DensityParam with one PPT penalty and reports a weak-duality
+certificate read off the penalty's multiplier.
 
 All minimizations over ensembles/extensions report direction 'upper'; the
 measured-correlation bound reports 'lower' (the PPT set contains the
-separable set, so its minimum can only under-shoot)."""
+separable set, and the certificate lies below the PPT minimum)."""
 
 from __future__ import annotations
 
@@ -25,16 +26,14 @@ from .optim import (
     SOLVER_FAILURES,
     BlockIsometry,
     BoundedValue,
+    DensityParam,
     DimensionCapError,
-    MarginalSet,
     OptimizerConfig,
-    PptSet,
-    PsdSet,
     candidate_matrices,
     check_param_cap,
-    dykstra_project,
     entropy_combo,
     minimize_penalized,
+    shared_evaluation,
 )
 from .qcore import (
     LOG2E,
@@ -43,6 +42,7 @@ from .qcore import (
     ValidationError,
     mutual_information,
     partial_trace_mat,
+    partial_transpose_mat,
     shannon_entropy,
     support,
     trace_distance,
@@ -283,81 +283,87 @@ def classical_flag_extension(ens: Ensemble, kind="squashed",
 def eic_lower(rho: DensityOperator, m: Povm, n: Povm,
               cfg: OptimizerConfig) -> BoundedValue:
     """Lower bound on the measured-correlation increase E_IC (and hence on
-    the per-copy broadcast MI limit).
+    the per-copy broadcast MI limit): a certificate below the least
+    f(sigma) = KL(p(rho) || q(sigma)) over PPT states, which contain the
+    separable ones, for the fixed local POVMs.
 
-    Minimizes KL(p(rho) || p(sigma)) over sigma in the PPT set for the fixed
-    local POVMs by projected gradient with Dykstra projections.  PPT
-    contains the separable set, so the minimum under-shoots the separable
-    one; the reported value additionally subtracts a 10x gradient-mapping
-    safety margin (floored at 0).
-
-    The descent takes at most len(PENALTY_SCHEDULE) * cfg.max_iters steps,
-    the steps of one restart of the other solvers.  Both statistics tables
-    and the gradient are contracted one side at a time
-    (measures.local_statistics), so no M_i (x) N_j is formed.  Raises
-    DimensionCapError when sigma's 2 d² parameters exceed the cap's, the
-    rule of a joint solve of dimension d.
+    sigma is a DensityParam in rho's A-first coordinates (a_first_mat),
+    where the effects are M_i (x) N_j (contracted one side at a time by
+    measures.local_statistics) and T_B transposes factor 1.
+    minimize_penalized descends from I/d and random starts under one
+    penalty, "ppt": ||(sigma^T_B)_-||_F^2.  At its optimum o, with G =
+    grad f(o) and Y = 2 w (-(o^T_B)_-) >= 0, w the last PENALTY_SCHEDULE
+    weight, every PPT state sigma and s >= 0 give f(sigma) >= f(o) - <G, o>
+    + lambda_min(G - s Y^T_B), by convexity, <Y^T_B, sigma> = <Y, sigma^T_B>
+    >= 0 and Tr sigma = 1.  The value is that bound at s = 0 or at the best
+    s in [0, 2] by golden section (lambda_min is concave in s), less a
+    1e-12 d max(1, max|G|) rounding margin, floored at 0.
+    diagnostics["objective"] is f at o mixed with I/d just until it is PPT,
+    a feasible value above the certificate.  Raises DimensionCapError when
+    sigma's 2 d² parameters exceed those of a joint solve at the cap.
     """
     d = rho.dim
-    check_param_cap(2 * d * d, f"eic_lower on a {d}-dim state")
+    par = DensityParam(d)
+    check_param_cap(par.n_params, f"eic_lower on a {d}-dim state")
     ic = m.gram_rank() == m.dim ** 2 and n.gram_rank() == n.dim ** 2
     if not ic:
         warnings.warn("POVMs are not informationally complete; the bound's "
                       "'zero iff PPT-reachable' reading does not apply")
     p = measure_statistics(rho, m, n).p
-    # sigma lives in rho's A-first coordinates (a_first_mat), where the
-    # effects are M_i (x) N_j and the partial transpose acts on factor 1.
     effs_a, effs_b = np.array(m.effects), np.array(n.effects)
+    dims = (m.dim, n.dim)
     mask = p > 1e-15
-    sets = [PsdSet(), PptSet((m.dim, n.dim), (1,)), MarginalSet((m.dim, n.dim), [((), np.eye(1))])]
+    log_p = np.log2(np.where(mask, p, 1.0))
 
-    def f_and_grad(sig):
+    def kl(sig):  # per matrix of a stack; clipping q keeps f's tangent below the KL
         q = np.clip(local_statistics(sig, effs_a, effs_b)[0], 1e-15, None)
-        val = float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum())
         coef = np.where(mask, p / q, 0.0) * LOG2E
         # -sum_ij coef_ij M_i (x) N_j: coef into the A effects, then against N_j
-        ca = np.einsum("ij,iac->jac", coef, effs_a)
-        grad = -np.einsum("jac,jbd->abcd", ca, effs_b).reshape(d, d)
-        return val, (grad + grad.conj().T) / 2
+        ca = np.einsum("...ij,iac->...jac", coef, effs_a)
+        return (np.where(mask, p * (log_p - np.log2(q)), 0.0).sum((-2, -1)),
+                -np.einsum("...jac,jbd->...abcd", ca, effs_b).reshape(sig.shape))
 
-    sigma = np.eye(d, dtype=complex) / d  # in every set
-    f, grad = f_and_grad(sigma)
-    t = 1.0
-    gmap = np.inf
-    it = 0
-    for it in range(1, len(PENALTY_SCHEDULE) * cfg.max_iters + 1):
-        accepted = False
-        for _ in range(40):
-            cand = dykstra_project(sigma - t * grad, sets, tol=1e-11)
-            fc, gc = f_and_grad(cand)
-            if fc <= f + 1e-12:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        gmap = float(np.linalg.norm(cand - sigma)) / t
-        df = f - fc
-        sigma, f, grad = cand, fc, gc
-        t *= 1.2
-        if gmap < 1e-8 or (df < 1e-14 and gmap < 1e-6):
-            break
-    value = max(0.0, f - 10.0 * gmap)
-    da = m.dim
-    db = n.dim
+    def negative_part(sig):  # the spectrum of sig^T_B, and ((sig^T_B)_-)^T_B
+        lam, v = np.linalg.eigh(partial_transpose_mat(sig, dims, (1,)))
+        neg = (v * np.minimum(lam, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return lam, partial_transpose_mat(neg, dims, (1,))
+
+    def evaluate(x):
+        sig, cache = par.sigma(x)
+        f, fmat = kl(sig)
+        lam, neg_t = negative_part(sig)
+        return [(f, par.grad_x(fmat, sig, cache)),
+                ((np.minimum(lam, 0.0) ** 2).sum(-1), par.grad_x(2.0 * neg_t, sig, cache))]
+
+    objective, constraints = shared_evaluation(evaluate, ["ppt"])
+    opt = minimize_penalized(objective, constraints, par.n_params, cfg,
+                             inits=[par.init_from_matrix(np.eye(d) / d)])
+    sig = par.sigma(opt.argmin)[0]
+    f, grad = kl(sig)
+    lam, neg_t = negative_part(sig)
+
+    def lam_min(s):  # Y^T_B = -2 w neg_t
+        return np.linalg.eigvalsh(grad + 2.0 * PENALTY_SCHEDULE[-1] * s * neg_t)[0]
+
+    best, lo, hi, ratio = lam_min(0.0), 0.0, 2.0, (5 ** 0.5 - 1) / 2
+    for _ in range(40):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        la, lb = lam_min(a), lam_min(b)
+        best = max(best, la, lb)
+        lo, hi = (a, hi) if la < lb else (lo, b)
+    margin = 1e-12 * d * max(1.0, float(np.abs(grad).max()))
+    value = float(max(0.0, f - np.vdot(grad, sig).real + best - margin))
+    # the least t with (1 - t) lam_0 + t / d >= 0, lam_0 the least of sigma^T_B
+    t = max(0.0, -lam[0] / (1.0 / d - lam[0]))
+    feasible_f = float(kl((1.0 - t) * sig + t * np.eye(d) / d)[0])
     exact_note = "PPT=separable (2x2 or 2x3): relaxation exact" \
-        if (da, db) in ((2, 2), (2, 3), (3, 2)) else \
+        if dims in ((2, 2), (2, 3), (3, 2)) else \
         "PPT strictly contains separable: still a valid lower bound"
     return BoundedValue(
-        value=float(value),
-        direction="lower",
-        method="ppt-kl-projected-gradient",
-        residuals={"gradient_mapping": float(gmap),
-                   "ppt_min_eig_slack": sets[1].residual(sigma)},
-        diagnostics={"objective": float(f), "iterations": it,
-                     "relaxation": exact_note,
-                     "informationally_complete": bool(ic)},
-    )
+        value, "lower", "ppt-kl-duality-certificate",
+        {"duality_gap": feasible_f - value, "ppt_min_eig_slack": float(max(0.0, -lam[0]))},
+        {"objective": feasible_f, "iterations": opt.iterations_used,
+         "relaxation": exact_note, "informationally_complete": bool(ic)})
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,10 @@ class JointDistribution:
 def local_statistics(x, effs_a, effs_b):
     """p_ij = Tr[(M_i x N_j) X] for an operator X with its A factors first
     (a_first_mat), together with the Tr_B[(I x N_j) X] it is taken from;
-    no M_i x N_j is formed.  effs_a and effs_b are (k, d, d) effect stacks,
-    or stacks of them (..., k, d, d) that give one table per set."""
+    no M_i x N_j is formed.  effs_a and effs_b are (k, d, d) effect stacks;
+    stacks of them (..., k, d, d), or of X, give one table per set or X."""
     da, db = effs_a.shape[-1], effs_b.shape[-1]
-    rt_b = np.einsum("...jbc,acdb->...jad", effs_b, x.reshape(da, db, da, db))
+    rt_b = np.einsum("...jbc,...acdb->...jad", effs_b, x.reshape(x.shape[:-2] + (da, db) * 2))
     p = np.einsum("...iab,...jba->...ij", effs_a, rt_b).real
     return p, rt_b
 

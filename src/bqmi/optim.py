@@ -22,7 +22,6 @@ from .qcore import (
     eigh_log2,
     expand_mat,
     partial_trace_mat,
-    partial_transpose_mat,
     shannon_entropy,
     support,
 )
@@ -41,6 +40,9 @@ TOL_OBJECTIVE = 1e-9
 TOL_RESIDUAL = 1e-8
 # DensityParam adds DENSITY_EPS * I to G G† before normalizing.
 DENSITY_EPS = 1e-9
+# dykstra_project: the largest residual it returns, and its sweep ceiling.
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_SWEEPS = 5000
 
 
 def dim_cap():
@@ -329,6 +331,24 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     return results[0][2]
 
 
+def shared_evaluation(evaluate, names):
+    """minimize_penalized's objective and named constraints, read off one
+    evaluate(x) -> [(values, grads) of the objective, then of each
+    constraint].  They are asked in turn on one stack, so evaluate runs once
+    per stack: the cache holds it (nothing mutates it in place)."""
+    last = [None, None]
+
+    def term(i):
+        def fn(x):
+            if last[0] is not x:
+                last[:] = [None, None]  # free the previous round's gradients first
+                last[:] = [x, evaluate(x)]
+            return last[1][i]
+        return fn
+
+    return term(0), [(name, term(i + 1)) for i, name in enumerate(names)]
+
+
 def finite_diff_check(fun, x, max_coords=None):
     """Max relative error between fun's gradient and central differences.
 
@@ -356,8 +376,8 @@ def finite_diff_check(fun, x, max_coords=None):
 
 
 # ---------------------------------------------------------------------------
-# Convex sets for Dykstra projections: the PSD cone, its partial transpose
-# and the affine set of fixed marginals (the trace among them).
+# Convex sets for Dykstra projections: the PSD cone and the affine set of
+# fixed marginals (the trace among them).
 
 
 class PsdSet:
@@ -373,24 +393,6 @@ class PsdSet:
     def residual(self, x):
         lam = np.linalg.eigvalsh(x)
         return float(max(0.0, -lam[0]))
-
-
-class PptSet(PsdSet):
-    """Matrices whose partial transpose over the given factor axes is PSD:
-    the PSD projector and residual taken on the partial transpose."""
-
-    name = "ppt"
-
-    def __init__(self, dims, axes):
-        self.dims = tuple(dims)
-        self.axes = tuple(axes)
-
-    def project(self, x):
-        y = super().project(partial_transpose_mat(x, self.dims, self.axes))
-        return partial_transpose_mat(y, self.dims, self.axes)
-
-    def residual(self, x):
-        return super().residual(partial_transpose_mat(x, self.dims, self.axes))
 
 
 class MarginalSet:
@@ -432,23 +434,23 @@ class MarginalSet:
         return sq, 2.0 * sum(expand_mat(dev, self.dims, keep) for keep, dev in devs)
 
 
-def dykstra_project(x, sets, tol=1e-10, max_sweeps=2000):
+def dykstra_project(x, sets):
     """Dykstra's alternating projection onto the intersection of convex sets.
 
     Each set must expose name, project(X) and residual(X).  Returns a
-    Hermitian matrix whose residual against every set is at most tol.
-    Raises SolverError with every set's final residual on non-convergence.
+    Hermitian matrix whose residual against every set is at most DYKSTRA_TOL.
+    Raises SolverError with every set's residual after DYKSTRA_MAX_SWEEPS.
     """
     x = np.asarray(x, dtype=complex)
     x = (x + x.conj().T) / 2
     corrections = [np.zeros_like(x) for _ in sets]
-    for _ in range(max_sweeps):
+    for _ in range(DYKSTRA_MAX_SWEEPS):
         for i, s in enumerate(sets):
             z = x + corrections[i]
             x = s.project(z)
             corrections[i] = z - x
         res = [(s.name, s.residual(x)) for s in sets]  # a list: names may repeat
-        if max(r for _, r in res) <= tol:
+        if max(r for _, r in res) <= DYKSTRA_TOL:
             return (x + x.conj().T) / 2
     raise SolverError(f"dykstra_project did not converge; residuals {res}")
 
@@ -729,22 +731,15 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
 
     marginals = MarginalSet(w.cdims, [((k,), np.diag(lam)) for k in range(n)])
     par = DensityParam(math.prod(w.cdims))
-    # minimize_penalized evaluates the objective and then the penalty on the
-    # same stack of points, so one stacked sigma serves both.  The cache
-    # holds that stack (nothing mutates it in place) and its results.
-    last = [None, None]
 
-    def evaluate(x):
-        if last[0] is not x:
-            last[:] = [None, None]  # free the previous round's gradients first
-            s, cache = par.sigma(x)
-            f, fmat = entropy_combo(s, dims, terms, w)
-            cv, cg = marginals.penalty(s)
-            last[:] = [x, [(f, par.grad_x(fmat, s, cache)), (cv, par.grad_x(cg, s, cache))]]
-        return last[1]
+    def evaluate(x):  # one stacked sigma serves the objective and the penalty
+        s, cache = par.sigma(x)
+        f, fmat = entropy_combo(s, dims, terms, w)
+        cv, cg = marginals.penalty(s)
+        return [(f, par.grad_x(fmat, s, cache)), (cv, par.grad_x(cg, s, cache))]
 
-    opt = minimize_penalized(lambda x: evaluate(x)[0],
-                             [(marginals.name, lambda x: evaluate(x)[1])], par.n_params, cfg,
+    objective, constraints = shared_evaluation(evaluate, [marginals.name])
+    opt = minimize_penalized(objective, constraints, par.n_params, cfg,
                              inits=[par.init_from_matrix(c) for c in cands])
     pool = [par.sigma(opt.argmin)[0]] + cands
     sets = [PsdSet(), marginals]
@@ -755,7 +750,7 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
     failures = []
     for cand in pool:
         try:
-            x = dykstra_project(cand, sets, tol=1e-10, max_sweeps=5000)
+            x = dykstra_project(cand, sets)
         except SOLVER_FAILURES as e:
             failures.append(str(e))
             continue

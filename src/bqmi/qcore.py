@@ -5,10 +5,11 @@ records how a big matrix factors into labeled subsystems and which side of
 the bipartite cut each factor belongs to.  All entropic quantities are in
 bits (log base 2).
 
-partial_trace_mat, expand_mat and eigh_log2 also accept stacks of matrices
-with leading batch axes (..., d, d), and shannon_entropy a stack of spectra
-(..., n): slice k of a stacked call equals the call on slice k.  The solvers
-evaluate all restarts of a descent as one stack (optim.minimize_penalized).
+partial_trace_mat, partial_transpose_mat, expand_mat and eigh_log2 also
+accept stacks of matrices with leading batch axes (..., d, d), and
+shannon_entropy a stack of spectra (..., n): slice k of a stacked call
+equals the call on slice k.  The solvers evaluate all restarts of a descent
+as one stack (optim.minimize_penalized).
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ def tensor(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _as_tensor(mat, dims):
-    return np.asarray(mat).reshape(tuple(dims) * 2)
-
-
 @functools.lru_cache(maxsize=256)
 def _split_axes(dims, keep_idx, nb):
     """How partial_trace_mat and expand_mat regroup a stack with nb batch
@@ -192,7 +189,7 @@ def expand_mat(mat, dims, keep_idx):
 def permute_factors(mat, dims, perm):
     """Reorder tensor factors: new factor i is old factor perm[i]."""
     m = len(dims)
-    t = _as_tensor(mat, dims)
+    t = np.asarray(mat).reshape(tuple(dims) * 2)
     p = list(perm) + [m + i for i in perm]
     d = math.prod(dims)
     return t.transpose(p).reshape(d, d)
@@ -214,13 +211,13 @@ def a_first_mat(rho: DensityOperator):
 
 def partial_transpose_mat(mat, dims, axes):
     """Transpose the given tensor factors of a square matrix."""
-    m = len(dims)
-    t = _as_tensor(mat, dims)
-    perm = list(range(2 * m))
-    for i in axes:
-        perm[i], perm[m + i] = perm[m + i], perm[i]
+    mat = np.asarray(mat)
+    batch, m = mat.shape[:-2], len(dims)
+    t = mat.reshape(batch + tuple(dims) * 2)
+    for i in axes:  # factor i's row and column axes, counted from the end
+        t = t.swapaxes(i - 2 * m, i - m)
     d = math.prod(dims)
-    return t.transpose(perm).reshape(d, d)
+    return t.reshape(batch + (d, d))
 
 
 def shannon_entropy(p):

@@ -276,3 +276,16 @@ def test_closed_stdout_pipe_exits_cleanly(tmp_path, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert b"BrokenPipeError" not in err
+
+
+def test_import_loads_no_scipy():
+    # bqmi runs on numpy alone; scipy would add to every command's start-up
+    # time and memory.  A fresh interpreter, since the tests import scipy.
+    src = os.path.dirname(os.path.dirname(bqmi.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, bqmi, bqmi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

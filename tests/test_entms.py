@@ -16,10 +16,11 @@ from bqmi.entms import (
     eic_lower,
     esq_upper,
 )
-from bqmi.measures import Povm, default_ic_povm
+from bqmi.measures import Povm, default_ic_povm, measure_statistics
 from bqmi.optim import BoundedValue, DimensionCapError, OptimizerConfig, SolverError
 from bqmi.qcore import (
     DensityOperator,
+    SubsystemLayout,
     ValidationError,
     binary_entropy,
     bipartite_layout,
@@ -245,9 +246,68 @@ def test_eic_entangled_werner_matches_oracle(p, key):
     assert bv.value > 1e-4
 
 
+def kl_bits(p, q):
+    live = p > 0
+    return float((p[live] * np.log2(p[live] / q[live])).sum())
+
+
+def random_separable(da, db, seed):
+    """A seeded random mixture of four product states on A (x) B."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(4))
+    mat = sum(wk * np.kron(random_density(da, 1, seed=1000 * seed + 2 * k).mat,
+                           random_density(db, 1, seed=1000 * seed + 2 * k + 1).mat)
+              for k, wk in enumerate(w))
+    return DensityOperator(bipartite_layout(da, db), mat)
+
+
+@pytest.mark.parametrize("rho", [
+    werner_state(0.8),
+    random_density(4, 3, seed=5),
+    random_density(6, 3, seed=1, dims=(2, 3)),
+    random_density(8, 2, seed=0, dims=(4, 2)),
+], ids=["werner_0.8", "2x2", "2x3", "4x2"])
+def test_eic_value_is_below_every_separable_objective(rho):
+    # every separable state is PPT, so a certificate lies below its KL
+    da, db = rho.layout.side_dims()
+    m, n = default_ic_povm(da), default_ic_povm(db)
+    bv = eic_lower(rho, m, n, CFG)
+    assert bv.value <= bv.diagnostics["objective"]
+    p = measure_statistics(rho, m, n).p
+    d = da * db
+    sigmas = [DensityOperator(bipartite_layout(da, db), np.eye(d, dtype=complex) / d)]
+    sigmas += [random_separable(da, db, seed) for seed in range(5)]
+    for sigma in sigmas:
+        assert bv.value <= kl_bits(p, measure_statistics(sigma, m, n).p)
+
+
+def props_product():
+    """rho0 (x) sigma0 of the benchmark's props workload, a 4 (x) 4 state."""
+    rho0 = random_density(4, 2, seed=100)
+    sig0 = random_density(4, 4, seed=200)
+    layout = SubsystemLayout((("A", 2), ("B", 2), ("A'", 2), ("B'", 2)),
+                             {"A": "A", "B": "B", "A'": "A", "B'": "B"})
+    return DensityOperator(layout, np.kron(rho0.mat, sig0.mat))
+
+
+@pytest.mark.parametrize("rho, floor", [
+    (werner_state(0.8), 0.09),
+    (props_product(), 0.005),
+    *[(random_density(8, r, seed=s, dims=(4, 2)), 0.005) for r in (1, 2, 3) for s in (0, 1)],
+    (random_density(6, 3, seed=1, dims=(2, 3)), 0.01),
+], ids=["werner_0.8", "4x4_props"] + [f"4x2_r{r}_s{s}" for r in (1, 2, 3) for s in (0, 1)]
+    + ["2x3"])
+def test_eic_certifies_a_value_above_its_floor(rho, floor):
+    # a certificate above the floor on every shape up to 4 (x) 4; werner
+    # 0.8's PPT minimum is 0.092734
+    da, db = rho.layout.side_dims()
+    bv = eic_lower(rho, default_ic_povm(da), default_ic_povm(db), CFG)
+    assert floor < bv.value <= bv.diagnostics["objective"]
+
+
 def test_eic_takes_its_step_budget_from_cfg():
-    # one restart's budget: len(PENALTY_SCHEDULE) * max_iters = 8 steps,
-    # where the descent on this state stops by itself after 27
+    # one restart's budget: len(PENALTY_SCHEDULE) * max_iters = 8 iterations,
+    # where the descent on this state stops by itself after 63
     sic = default_ic_povm(2)
     bv = eic_lower(random_density(4, 2, seed=100), sic, sic,
                    OptimizerConfig(restarts=1, max_iters=2))

@@ -6,14 +6,14 @@ import pytest
 import bqmi.entms
 from bqmi import optim
 from bqmi.broadcast import broadcast_mi_upper
-from bqmi.entms import ecsq_upper
+from bqmi.entms import ecsq_upper, eic_lower
+from bqmi.measures import default_ic_povm
 from bqmi.optim import (
     BlockIsometry,
     BoundedValue,
     DensityParam,
     MarginalSet,
     OptimizerConfig,
-    PptSet,
     PsdSet,
     dykstra_project,
     entropy_combo,
@@ -247,7 +247,7 @@ def test_lockstep_restart_matches_the_same_start_run_alone(monkeypatch):
         assert_same_run(together, alone)
 
 
-@pytest.mark.parametrize("solve", ["broadcast_n2", "ecsq"])
+@pytest.mark.parametrize("solve", ["broadcast_n2", "ecsq", "eic"])
 def test_lockstep_solver_restart_matches_the_same_start_run_alone(monkeypatch, solve):
     # Capture the stacked objective a solver hands to minimize_penalized,
     # then compare its winning restart with that start run by itself.
@@ -264,7 +264,10 @@ def test_lockstep_solver_restart_matches_the_same_start_run_alone(monkeypatch, s
         broadcast_mi_upper(rho, 2, cfg)
     else:
         monkeypatch.setattr(bqmi.entms, "minimize_penalized", spy)
-        ecsq_upper(rho, None, cfg)
+        if solve == "ecsq":
+            ecsq_upper(rho, None, cfg)
+        else:
+            eic_lower(rho, default_ic_povm(2), default_ic_povm(2), cfg)
     (objective, constraints, param_dim, cfg_used), kw = calls[0]
     together = minimize_penalized(objective, constraints, param_dim, cfg_used, **kw)
     alone = run_alone(objective, constraints, param_dim, cfg_used, kw.get("inits"),
@@ -312,11 +315,12 @@ def trace_one(dims):
     return MarginalSet(dims, [((), np.eye(1))])
 
 
-def test_dykstra_two_sets_matches_simplex_oracle():
+def test_dykstra_two_sets_matches_simplex_oracle(monkeypatch):
     # Projection onto {PSD, unit trace} acts on eigenvalues as projection
     # onto the simplex (clip below a shift chosen so the total is 1).
+    monkeypatch.setattr(optim, "DYKSTRA_TOL", 1e-12)
     h = random_herm(4, 3)
-    got = dykstra_project(h, [PsdSet(), trace_one((4,))], tol=1e-12)
+    got = dykstra_project(h, [PsdSet(), trace_one((4,))])
     lam, v = np.linalg.eigh(h)
 
     def simplex(y):
@@ -330,23 +334,13 @@ def test_dykstra_two_sets_matches_simplex_oracle():
     assert np.abs(got - oracle).max() < 1e-8
 
 
-def test_dykstra_single_negative_eigenvalue_case():
+def test_dykstra_single_negative_eigenvalue_case(monkeypatch):
+    monkeypatch.setattr(optim, "DYKSTRA_TOL", 1e-12)
     h = np.diag([0.9, 0.5, -0.2]).astype(complex)
-    got = dykstra_project(h, [PsdSet(), trace_one((3,))], tol=1e-12)
+    got = dykstra_project(h, [PsdSet(), trace_one((3,))])
     # oracle: clip the negative eigenvalue, then shift the rest to trace one
     assert np.allclose(np.sort(np.linalg.eigvalsh(got)),
                        np.sort([0.7, 0.3, 0.0]), atol=1e-8)
-
-
-def test_ppt_set_projection_in_transposed_frame():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 3] = m[3, 0] = 0.5
-    m += np.eye(4) / 4
-    s = PptSet((2, 2), (1,))
-    p = s.project(m)
-    assert s.residual(p) < 1e-12
-    # projecting an already-PPT matrix is the identity
-    assert np.allclose(s.project(np.eye(4) / 4), np.eye(4) / 4, atol=1e-14)
 
 
 def test_marginal_set_projection_fixes_marginal():
@@ -360,13 +354,14 @@ def test_marginal_set_projection_fixes_marginal():
     assert np.abs(s.project(p) - p).max() < 1e-12
 
 
-def test_dykstra_reports_failure_residuals():
+def test_dykstra_reports_failure_residuals(monkeypatch):
     # Empty intersection: trace-one against a marginal of trace 2.  Both sets
     # are named "marginal", and the error reports the residual of each.
+    monkeypatch.setattr(optim, "DYKSTRA_TOL", 1e-12)
+    monkeypatch.setattr(optim, "DYKSTRA_MAX_SWEEPS", 50)
     s = MarginalSet((2,), [((0,), 2 * np.eye(2, dtype=complex))])
     with pytest.raises(RuntimeError, match="residual") as err:
-        dykstra_project(np.eye(2, dtype=complex), [trace_one((2,)), s],
-                        tol=1e-12, max_sweeps=50)
+        dykstra_project(np.eye(2, dtype=complex), [trace_one((2,)), s])
     assert str(err.value).count("'marginal'") == 2
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqmi.entms import _ensemble_objective_terms, cemi_upper, esq_upper
-from bqmi.measures import PovmParam, _classical_mi_and_grads
+from bqmi.measures import PovmParam, _classical_mi_and_grads, local_statistics
 from bqmi.optim import (
     BlockIsometry,
     DensityParam,
@@ -29,6 +29,7 @@ from bqmi.qcore import (
     expand_mat,
     mutual_information,
     partial_trace_mat,
+    partial_transpose_mat,
     permute_factors,
     shannon_entropy,
 )
@@ -108,6 +109,9 @@ def test_stacked_state_kernels_match_single_calls(layout, batch):
     fs = random_stack(batch, d, rng)
     assert_slices_match([par.grad_x(fs, sig, cache)],
                         lambda k: [par.grad_x(fs[k], *par.sigma(xs[k]))], batch)
+
+    assert_slices_match([partial_transpose_mat(sig, dims, keep)],
+                        lambda k: [partial_transpose_mat(sig[k], dims, keep)], batch)
 
     terms = [(1.0, keep), (-0.5, None)]
     assert_slices_match(entropy_combo(sig, dims, terms),
@@ -265,6 +269,11 @@ def test_stacked_measurement_kernels_match_single_calls(da, db, k_out, ext, batc
     rho = random_density(da * db, da * db, seed=seed % 1000, dims=(da, db)).mat
     assert_slices_match(_classical_mi_and_grads(rho, ea, eb),
                         lambda k: _classical_mi_and_grads(rho, ea[k], eb[k]), batch)
+    # a stack of operators X against one pair of effect sets
+    xs = random_stack(batch, da * db, rng)
+    ea0, eb0 = ea[(0,) * len(batch)], eb[(0,) * len(batch)]
+    assert_slices_match(local_statistics(xs, ea0, eb0),
+                        lambda k: local_statistics(xs[k], ea0, eb0), batch)
 
     # ensembles of rank-2 members plus one member of zero weight
     g = random_stack(batch + (k_out,), da * db, rng)[..., :2, :]
