@@ -38,7 +38,8 @@ PENALTY_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 TOL_OBJECTIVE = 1e-9
 # Largest Frobenius marginal deviation of a joint solve_marginal_problem returns.
 TOL_RESIDUAL = 1e-8
-# DensityParam adds DENSITY_EPS * I to G G† before normalizing.
+# DensityParam adds DENSITY_EPS * I to G G† before normalizing, and
+# init_from_matrix floors the factor's eigenvalues at it.
 DENSITY_EPS = 1e-9
 # dykstra_project: the largest residual it returns, and its sweep ceiling.
 DYKSTRA_TOL = 1e-10
@@ -173,10 +174,12 @@ def _lbfgs_direction(g, pairs):
     return -q
 
 
-def _descend(x, max_iters, w):
+def _descend(x, max_iters, w, start=None):
     """L-BFGS descent from x at penalty weight w, written as a generator: it
     yields each point it wants evaluated and is sent that point's unweighted
-    (f, grad, [(value, grad), ...]), which it weighs itself.
+    (f, grad, [(value, grad), ...]), which it weighs itself.  start, when
+    given, is x's own such evaluation, and x is then not yielded: no point
+    is asked for twice.
 
     The direction p comes from the last LBFGS_MEMORY (s, y) pairs of this
     call (_lbfgs_direction); it is -STEP_INIT g on the first iteration, and
@@ -190,8 +193,10 @@ def _descend(x, max_iters, w):
     objective at any trial but a doubled one raises FloatingPointError.
     Stops, converged, when |g|^2 <= 1e-30, when no trial is accepted, or when
     f falls by less than TOL_OBJECTIVE max(1, |f|).  Returns (x, penalized
-    f, iterations, converged); the accepted-objective trace is monotone."""
-    f, g = _weigh((yield x), w)
+    f, iterations, converged, x's unweighted evaluation); the
+    accepted-objective trace is monotone."""
+    val = (yield x) if start is None else start
+    f, g = _weigh(val, w)
     if not np.isfinite(f):
         raise FloatingPointError("objective not finite at start")
     pairs = collections.deque(maxlen=LBFGS_MEMORY)
@@ -199,7 +204,7 @@ def _descend(x, max_iters, w):
     for it in range(1, max_iters + 1):
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
-            return x, f, it, True
+            return x, f, it, True, val
         p = _lbfgs_direction(g, pairs)
         slope = float(g @ p)
         if slope >= 0:
@@ -209,7 +214,8 @@ def _descend(x, max_iters, w):
         best, t, halved = None, 1.0, False
         for _ in range(40):
             xn = x + t * p
-            fn, gn = _weigh((yield xn), w)
+            vn = yield xn
+            fn, gn = _weigh(vn, w)
             armijo = fn <= f + 1e-4 * t * slope
             if best is not None and not (armijo and fn < best[1]):
                 break
@@ -219,35 +225,37 @@ def _descend(x, max_iters, w):
                 halved = True
                 t *= 0.5
                 continue
-            best = (xn, fn, gn)
+            best = (xn, fn, gn, vn)
             if halved or float(gn @ p) >= 0.9 * slope:
                 break
             t *= 2.0
         if best is None:
-            return x, f, it, True
-        xn, fn, gn = best
+            return x, f, it, True, val
+        xn, fn, gn, vn = best
         s, y = xn - x, gn - g
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
         df = f - fn
-        x, f, g = xn, fn, gn
+        x, f, g, val = xn, fn, gn, vn
         if df < TOL_OBJECTIVE * max(1.0, abs(f)):
-            return x, f, it, True
-    return x, f, it, False
+            return x, f, it, True, val
+    return x, f, it, False, val
 
 
 def _restart(x, stages):
     """One restart: a _descend per (penalty weight, iteration ceiling) stage,
-    then one evaluation at the optimum.  A generator like _descend.  Returns
-    (penalized value, x, objective value, constraint values, converged,
-    iterations)."""
-    total, converged, f_pen = 0, True, np.inf
+    each stage starting from the previous one's optimum and its evaluation,
+    so that only the restart's first point is evaluated before its first
+    stage and the optimum is not evaluated again after its last.  A
+    generator like _descend.  Returns (penalized value, x, objective value,
+    constraint values, converged, iterations)."""
+    total, converged, val = 0, True, None
     for w, iters in stages:
-        x, f_pen, it, conv = yield from _descend(x, iters, w)
+        x, f_pen, it, conv, val = yield from _descend(x, iters, w, val)
         total += it
         converged = converged and conv
-    f_obj, _, cons = yield x
+    f_obj, _, cons = val
     return f_pen, x, f_obj, [cv for cv, _ in cons], converged, total
 
 
@@ -281,6 +289,9 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     halves it until Armijo holds.  With no constraint every stage would
     minimize the same function, so a restart is one descent of at most
     len(PENALTY_SCHEDULE) * cfg.max_iters iterations, the same ceiling.
+    Each stage starts from the point the previous one ended on, with that
+    point's evaluation, and the restart's result is read off its last
+    stage's final evaluation, so no point of a restart is evaluated twice.
     Every round, the points that all live restarts ask for are evaluated as
     one stack, so each restart follows the trajectory it would follow alone
     (its L-BFGS memory lives in its own generator).  inits seeds the first restarts; the
@@ -517,8 +528,14 @@ class DensityParam:
         return pack_complex(wg, self.shape)
 
     def init_from_matrix(self, mat):
-        """Pick x so that sigma(x) is (close to) the given density matrix."""
-        return pack_complex(psd_factor(mat), self.shape)
+        """Pick x so that sigma(x) is (close to) the given density matrix:
+        G = V sqrt(max(lambda, DENSITY_EPS)) from mat's eigendecomposition.
+        grad_x pulls every gradient back as F G, which vanishes on a zero
+        column of G, so a descent from a factor with a zero eigenvalue could
+        never leave mat's rank; the floor, the size of the regularizer sigma
+        already adds, gives every column a gradient."""
+        lam, v = np.linalg.eigh(mat)
+        return pack_complex(v * np.sqrt(np.maximum(lam, DENSITY_EPS)), self.shape)
 
 
 class BlockIsometry:

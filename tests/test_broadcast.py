@@ -136,6 +136,30 @@ def test_rho_anchored_solves_agree_on_the_rank(monkeypatch):
     assert seen == [16]
 
 
+def local_rotation(rho, seed):
+    """(U_A (x) U_B) rho (U_A (x) U_B)^dagger with Haar-random U_A, U_B."""
+    rng = np.random.default_rng(seed)
+    u = np.ones((1, 1))
+    for _, d in rho.layout.factors:
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        u = np.kron(u, q * (np.diag(r) / np.abs(np.diag(r))))
+    m = u @ rho.mat @ u.conj().T
+    return DensityOperator(rho.layout, (m + m.conj().T) / 2)
+
+
+def test_broadcast_upper_is_covariant_under_local_rotations():
+    # Every restart starts from a candidate, and a local unitary only
+    # rotates rho's eigenbasis, so the compressed solve is the same problem
+    # from the same starts.  The de Finetti candidate has rank 4 of 16; a
+    # factor that kept its null eigenvalues clipped to 0 could not leave
+    # that rank, and where it stopped depended on the basis.
+    rho = random_density(4, 4, seed=200)
+    cfg = OptimizerConfig(restarts=2, max_iters=15)
+    values = [broadcast_mi_upper(r, 2, cfg).value
+              for r in (rho, local_rotation(rho, 1), local_rotation(rho, 2))]
+    assert max(values) - min(values) < 1e-8
+
+
 def test_definetti_upper_never_exceeds_cap():
     ens = canonical_ensembles(StateSpec("product-mix"))
     rho = ens.average()

@@ -168,7 +168,8 @@ def descend_alone(objective, x, max_iters):
             f, g = objective(point[None])
             point = descent.send((f[0], g[0], []))
     except StopIteration as stop:
-        return asked, stop.value
+        x, f, iters, converged, _ = stop.value
+        return asked, (x, f, iters, converged)
 
 
 def test_unconstrained_restart_is_one_descent_of_the_whole_ceiling():
@@ -186,9 +187,9 @@ def test_unconstrained_restart_is_one_descent_of_the_whole_ceiling():
     assert res.value == f
 
 
-def test_unconstrained_restart_evaluates_once_after_its_converged_descent():
-    # A spy sees the points of one converged descent, then one more round:
-    # the final evaluation at the optimum.
+def test_unconstrained_restart_evaluates_only_its_descents_points():
+    # A spy sees the points of one converged descent and nothing more: the
+    # result is read off the descent's own evaluation of its optimum.
     _, _, objective, _ = quadratic_problem()
     seen = []
 
@@ -199,13 +200,50 @@ def test_unconstrained_restart_evaluates_once_after_its_converged_descent():
     start, ceiling = np.full(5, 0.3), len(optim.PENALTY_SCHEDULE) * 300
     res = minimize_penalized(spy, [], 5, OptimizerConfig(restarts=1, max_iters=300),
                              inits=[start])
-    asked, (x, _, iters, converged) = descend_alone(objective, start, ceiling)
+    asked, (x, f, iters, converged) = descend_alone(objective, start, ceiling)
     assert converged and iters < ceiling
-    assert len(seen) == len(asked) + 1
+    assert len(seen) == len(asked)
     assert all(np.array_equal(a, b) for a, b in zip(seen, asked))
-    assert np.array_equal(seen[-1], x)
+    assert any(np.array_equal(a, x) for a in seen)
     assert np.array_equal(res.argmin, x)
+    assert res.value == f
     assert res.converged
+
+
+def test_constrained_restart_evaluates_no_point_twice():
+    # Each penalty stage starts from the previous stage's optimum with its
+    # evaluation, and the result is read off the last one, so neither a
+    # stage's start nor the optimum is asked for again.
+    _, _, objective, constraint = quadratic_problem()
+    seen = []
+
+    def spy(x):
+        seen.extend(row.tobytes() for row in x)
+        return objective(x)
+
+    res = minimize_penalized(spy, [("lin", constraint)], 5,
+                             OptimizerConfig(restarts=1, max_iters=60), inits=[np.full(5, 0.3)])
+    assert res.iterations_used > len(optim.PENALTY_SCHEDULE)
+    assert len(set(seen)) == len(seen)
+    assert res.argmin.tobytes() in seen
+
+
+@pytest.mark.parametrize("start", [np.diag([1.0, 0, 0, 0]), np.diag([0.5, 0.5, 0, 0])])
+def test_descent_from_a_rank_deficient_start_leaves_its_rank(start):
+    # ||sigma - diag(.4, .3, .2, .1)||_F^2 has its minimum 0 at full rank.
+    # grad_x pulls the gradient back as F G, so a factor with a zero column
+    # keeps it at every step: the start's factor must have none.
+    par = DensityParam(4)
+    target = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+
+    def objective(x):
+        s, cache = par.sigma(x)
+        diff = s - target
+        return (diff.real ** 2 + diff.imag ** 2).sum((-2, -1)), par.grad_x(2 * diff, s, cache)
+
+    res = minimize_penalized(objective, [], par.n_params, OptimizerConfig(restarts=1, max_iters=50),
+                             inits=[par.init_from_matrix(start.astype(complex))])
+    assert res.value <= 1e-10
 
 
 def test_unconstrained_descent_ignores_the_penalty_weights(monkeypatch):
