@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +27,12 @@ from .qcore import (
 )
 
 DEFAULT_DIM_CAP = 256
-# minimize_penalized: the step of each descent's first iteration, as a
-# multiple of -grad, the number of L-BFGS (s, y) pairs a descent keeps, the
-# penalty weights each restart is taken through in turn (with no constraint,
-# one descent of len(PENALTY_SCHEDULE) * max_iters iterations instead), and
-# the relative decrease below which a descent stops.
+# minimize_penalized: the step of a restart's first iteration, as a
+# multiple of -grad (later stages start from the curvature of the restart's
+# newest L-BFGS pair instead), the number of L-BFGS (s, y) pairs a descent
+# keeps, the penalty weights each restart is taken through in turn (with no
+# constraint, one descent of len(PENALTY_SCHEDULE) * max_iters iterations
+# instead), and the relative decrease below which a descent stops.
 STEP_INIT = 0.5
 LBFGS_MEMORY = 5
 PENALTY_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
@@ -154,27 +155,24 @@ def _weigh(val, w):
     return f, g
 
 
-def _lbfgs_direction(g, pairs):
+def _lbfgs_direction(g, pairs, gamma):
     """-H g by the L-BFGS two-loop recursion (Nocedal & Wright, Numerical
     Optimization, alg. 7.4) over the stored (s, y, 1 / s.y) pairs, oldest
-    first, with the initial inverse Hessian s.y / y.y of the newest pair;
-    -STEP_INIT g when no pair is stored."""
-    if not pairs:
-        return -STEP_INIT * g
+    first, with gamma I as the initial inverse Hessian; -gamma g when no
+    pair is stored."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    _, y, rho = pairs[-1]
-    q *= 1.0 / (rho * float(y @ y))  # s.y / y.y
+    q *= gamma
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         q += (a - rho * float(y @ q)) * s
     return -q
 
 
-def _descend(x, max_iters, w, start=None):
+def _descend(x, max_iters, w, start=None, gamma=None):
     """L-BFGS descent from x at penalty weight w, written as a generator: it
     yields each point it wants evaluated and is sent that point's unweighted
     (f, grad, [(value, grad), ...]), which it weighs itself.  start, when
@@ -182,18 +180,21 @@ def _descend(x, max_iters, w, start=None):
     is asked for twice.
 
     The direction p comes from the last LBFGS_MEMORY (s, y) pairs of this
-    call (_lbfgs_direction); it is -STEP_INIT g on the first iteration, and
-    also, with the pairs cleared, whenever g.p >= 0.  A pair is stored only
+    call (_lbfgs_direction) with gamma I as the initial inverse Hessian:
+    gamma is the s.y / y.y of the newest pair stored (Nocedal & Wright, eq.
+    7.20), on entry the caller's value, and STEP_INIT while it is None.
+    While the memory is empty (on the first iteration, and, with the pairs
+    cleared, whenever g.p >= 0) p is thus -gamma g.  A pair is stored only
     when s.y > 1e-12 |s| |y|.  The line search tries x + t p from t = 1 and
-    accepts a trial that meets Armijo, f(t) <= f + 1e-4 t g.p.  While
-    no trial has been halved and the accepted trial's slope g(t).p is still
+    accepts a trial that meets Armijo, f(t) <= f + 1e-4 t g.p.  While no
+    trial has been halved and the accepted trial's slope g(t).p is still
     below 0.9 g.p, t doubles; the best trial is kept, and the first doubled
     trial that fails Armijo, does no better or is not finite ends the
     expansion.  Otherwise t halves, for at most 40 trials in all; a NaN
     objective at any trial but a doubled one raises FloatingPointError.
-    Stops, converged, when |g|^2 <= 1e-30, when no trial is accepted, or when
-    f falls by less than TOL_OBJECTIVE max(1, |f|).  Returns (x, penalized
-    f, iterations, converged, x's unweighted evaluation); the
+    Stops, converged, when |g|^2 <= 1e-30, when no trial is accepted, or
+    when f falls by less than TOL_OBJECTIVE max(1, |f|).  Returns (x, penalized f, iterations, converged, x's unweighted
+    evaluation, gamma), gamma None while no pair has been stored; the
     accepted-objective trace is monotone."""
     val = (yield x) if start is None else start
     f, g = _weigh(val, w)
@@ -204,13 +205,14 @@ def _descend(x, max_iters, w, start=None):
     for it in range(1, max_iters + 1):
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
-            return x, f, it, True, val
-        p = _lbfgs_direction(g, pairs)
+            return x, f, it, True, val, gamma
+        h0 = STEP_INIT if gamma is None else gamma
+        p = _lbfgs_direction(g, pairs, h0)
         slope = float(g @ p)
         if slope >= 0:
             pairs.clear()
-            p = -STEP_INIT * g
-            slope = -STEP_INIT * gnorm2
+            p = -h0 * g
+            slope = -h0 * gnorm2
         best, t, halved = None, 1.0, False
         for _ in range(40):
             xn = x + t * p
@@ -230,29 +232,38 @@ def _descend(x, max_iters, w, start=None):
                 break
             t *= 2.0
         if best is None:
-            return x, f, it, True, val
+            return x, f, it, True, val, gamma
         xn, fn, gn, vn = best
         s, y = xn - x, gn - g
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
+            rho = 1.0 / sy
+            pairs.append((s, y, rho))
+            gamma = 1.0 / (rho * float(y @ y))  # s.y / y.y
         df = f - fn
         x, f, g, val = xn, fn, gn, vn
         if df < TOL_OBJECTIVE * max(1.0, abs(f)):
-            return x, f, it, True, val
-    return x, f, it, False, val
+            return x, f, it, True, val, gamma
+    return x, f, it, False, val, gamma
 
 
 def _restart(x, stages):
     """One restart: a _descend per (penalty weight, iteration ceiling) stage,
     each stage starting from the previous one's optimum and its evaluation,
     so that only the restart's first point is evaluated before its first
-    stage and the optimum is not evaluated again after its last.  A
+    stage and the optimum is not evaluated again after its last.  Each stage
+    starts with an empty L-BFGS memory and takes its first step along
+    -gamma g, gamma being the s.y / y.y of the restart's newest stored pair
+    times w_prev / w, since the penalty's curvature grows with its weight;
+    before the restart stores its first pair, gamma is STEP_INIT.  A
     generator like _descend.  Returns (penalized value, x, objective value,
     constraint values, converged, iterations)."""
-    total, converged, val = 0, True, None
+    total, converged, val, gamma, w_prev = 0, True, None, None, None
     for w, iters in stages:
-        x, f_pen, it, conv, val = yield from _descend(x, iters, w, val)
+        if gamma is not None:
+            gamma *= w_prev / w
+        x, f_pen, it, conv, val, gamma = yield from _descend(x, iters, w, val, gamma)
+        w_prev = w
         total += it
         converged = converged and conv
     f_obj, _, cons = val
@@ -284,11 +295,14 @@ def minimize_penalized(objective, constraints, param_dim, cfg: OptimizerConfig,
     is added as w * value with w ramped over PENALTY_SCHEDULE, each
     restart through its own stages of at most cfg.max_iters iterations.
     Each stage is an L-BFGS descent (_descend) with a fresh memory, since w
-    changes the objective; its line search starts at the full quasi-Newton
-    step, doubles it while Armijo holds and the slope stays steep, and
-    halves it until Armijo holds.  With no constraint every stage would
-    minimize the same function, so a restart is one descent of at most
-    len(PENALTY_SCHEDULE) * cfg.max_iters iterations, the same ceiling.
+    changes the objective; its first step is -gamma g, gamma the curvature
+    scale s.y / y.y of the restart's newest pair times w_prev / w
+    (STEP_INIT until the restart stores a pair, _restart), and its line
+    search starts at the full quasi-Newton step, doubles it while Armijo
+    holds and the slope stays steep, and halves it until Armijo holds.
+    With no constraint every stage would minimize the same function, so a
+    restart is one descent of at most len(PENALTY_SCHEDULE) * cfg.max_iters
+    iterations, the same ceiling.
     Each stage starts from the point the previous one ended on, with that
     point's evaluation, and the restart's result is read off its last
     stage's final evaluation, so no point of a restart is evaluated twice.
@@ -714,7 +728,11 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
     tensor order.  terms: entropy_combo terms over the joint's factor dims.
     candidates: extra starting joints (matrices or objects with a .mat),
     consumed only after the BQ_MAX_DIM check on the joint dimension; the
-    product target^(x)n always comes first.
+    product target^(x)n always comes first.  The first cfg.restarts
+    compressed candidates seed one restart each, but a candidate within
+    1e-12 (Frobenius) of an earlier seed seeds none: its slot is dropped,
+    not given a random start, so the solve runs fewer restarts.  Every
+    candidate still enters the projection pool.
 
     Any PSD joint with these marginals lives in the n-fold product of the
     target's support, the range of W = V^(x)n with V its eigenvectors on
@@ -741,8 +759,8 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
     target = np.asarray(target, dtype=complex)
     lam, basis = support(target)
     w = BlockIsometry([copy_dims] * n, [basis] * n)
-    # compressed candidates, each seeding a restart; the full-space matrices
-    # are dropped as they are compressed
+    # compressed candidates; the full-space matrices are dropped as they are
+    # compressed
     cands = [w.compress(c) for c in candidate_matrices(
         itertools.chain([functools.reduce(np.kron, [target] * n)], candidates), d)]
 
@@ -755,9 +773,16 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
         cv, cg = marginals.penalty(s)
         return [(f, par.grad_x(fmat, s, cache)), (cv, par.grad_x(cg, s, cache))]
 
+    # a repeat's slot is dropped, not given a random start
+    seeds = []
+    for c in cands[:cfg.restarts]:
+        if all(np.linalg.norm(c - e) > 1e-12 for e in seeds):
+            seeds.append(c)
+    dropped = min(len(cands), cfg.restarts) - len(seeds)
     objective, constraints = shared_evaluation(evaluate, [marginals.name])
-    opt = minimize_penalized(objective, constraints, par.n_params, cfg,
-                             inits=[par.init_from_matrix(c) for c in cands])
+    opt = minimize_penalized(objective, constraints, par.n_params,
+                             replace(cfg, restarts=cfg.restarts - dropped),
+                             inits=[par.init_from_matrix(c) for c in seeds])
     pool = [par.sigma(opt.argmin)[0]] + cands
     sets = [PsdSet(), marginals]
     copies = [tuple(range(k * len(copy_dims), (k + 1) * len(copy_dims))) for k in range(n)]
@@ -778,12 +803,10 @@ def solve_marginal_problem(dims, target, n, terms, cfg: OptimizerConfig,
             continue
         feasible.append(x)
         if best is None or val < best[0]:
-            best = (val, x, res, cand)
+            best = (val, x, res)
     if best is None:
         raise SolverError("no candidate could be projected onto the marginal "
                           "constraints: " + "; ".join(failures))
-    val, x, res, cand = best
-    diag = opt.summary()
-    diag["pre_projection_value"] = float(entropy_combo(cand, dims, terms, w)[0])
+    val, x, res = best
     return MarginalSolution(value=float(val), joint=x, residuals=res,
-                            feasible=feasible, diagnostics=diag)
+                            feasible=feasible, diagnostics=opt.summary())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from bqmi.broadcast import (
 )
 from bqmi.entms import cemi_upper, ecsq_upper, esq_upper
 from bqmi.optim import DimensionCapError, OptimizerConfig, dim_cap
-from bqmi.qcore import DensityOperator, mutual_information, partial_trace_mat, trace_distance
+from bqmi.qcore import (
+    DensityOperator,
+    mutual_information,
+    partial_trace_mat,
+    support,
+    trace_distance,
+)
 from bqmi.states import (
     StateSpec,
     bell_state,
@@ -21,6 +29,7 @@ from bqmi.states import (
     product_mix_state,
     random_density,
     spectral_ensemble,
+    werner_state,
 )
 
 CFG = OptimizerConfig(restarts=3, max_iters=150)
@@ -158,6 +167,40 @@ def test_broadcast_upper_is_covariant_under_local_rotations():
     values = [broadcast_mi_upper(r, 2, cfg).value
               for r in (rho, local_rotation(rho, 1), local_rotation(rho, 2))]
     assert max(values) - min(values) < 1e-8
+
+
+def test_sweep_solve_seeds_one_restart_per_distinct_candidate(monkeypatch):
+    # growth_curve's n = 3 solve of werner 0.5 at curve's flags: the n = 2
+    # optimum is the product, so prev (x) rho repeats the product candidate
+    # of slot 0.  Its slot is dropped, so every stack has at most two rows,
+    # and the value is that of the run that seeds the repeat as well.
+    rho = werner_state(0.5)
+    cfg = OptimizerConfig(restarts=3, max_iters=80)
+    ensemble = ecsq_upper(rho, None, cfg).diagnostics["ensemble"]
+    prev = broadcast_mi_upper(rho, 2, cfg).diagnostics["broadcast_state"]
+    _, basis = support(rho.mat)
+    w = optim.BlockIsometry([rho.layout.dims] * 3, [basis] * 3)
+    repeat = optim.DensityParam(64).init_from_matrix(w.compress(np.kron(prev.joint.mat, rho.mat)))
+    real, rows = optim.minimize_penalized, []
+
+    def counted(objective, constraints, param_dim, cfg, inits):
+        def spy(x):
+            rows.append(len(x))
+            return objective(x)
+        return real(spy, constraints, param_dim, cfg, inits=inits)
+
+    def with_repeat(objective, constraints, param_dim, cfg, inits):
+        assert (cfg.restarts, len(inits)) == (2, 2)
+        return real(objective, constraints, param_dim, dataclasses.replace(cfg, restarts=3),
+                    inits=inits + [repeat])
+
+    values = []
+    for solve in (counted, with_repeat):
+        monkeypatch.setattr(optim, "minimize_penalized", solve)
+        values.append(broadcast_mi_upper(rho, 3, cfg, warm_starts=sweep_warm_starts(
+            rho, 3, prev, ensemble)).value)
+    assert rows and max(rows) <= 2
+    assert abs(values[0] - values[1]) <= 1e-12
 
 
 def test_definetti_upper_never_exceeds_cap():

@@ -168,7 +168,7 @@ def descend_alone(objective, x, max_iters):
             f, g = objective(point[None])
             point = descent.send((f[0], g[0], []))
     except StopIteration as stop:
-        x, f, iters, converged, _ = stop.value
+        x, f, iters, converged, _, _ = stop.value
         return asked, (x, f, iters, converged)
 
 
@@ -208,6 +208,43 @@ def test_unconstrained_restart_evaluates_only_its_descents_points():
     assert np.array_equal(res.argmin, x)
     assert res.value == f
     assert res.converged
+
+
+def drive_restart(x, stages, objective, constraint):
+    """Drive one _restart by hand: the points it asked for and its result."""
+    asked, run = [], optim._restart(x, stages)
+    point = next(run)
+    try:
+        while True:
+            asked.append(point)
+            (f,), (g,) = objective(point[None])
+            (c,), (gc,) = constraint(point[None])
+            point = run.send((f, g, [(c, gc)]))
+    except StopIteration as stop:
+        return asked, stop.value
+
+
+def test_stage_starts_step_along_the_scaled_curvature_of_the_newest_pair():
+    # Before any pair is stored the first trial is x - STEP_INIT g.  Stage 1
+    # takes one iteration, x0 -> x1, and stores the pair (s, y) = (x1 - x0,
+    # g_10(x1) - g_10(x0)); stage 2's first trial is then x1 - gamma g_100(x1)
+    # with gamma = (s.y / y.y) * 10 / 100.
+    _, _, objective, constraint = quadratic_problem()
+
+    def grad(x, w):
+        return objective(x[None])[1][0] + w * constraint(x[None])[1][0]
+
+    x0 = np.full(5, 0.3)
+    asked_1, (_, x1, *_) = drive_restart(x0, [(10.0, 1)], objective, constraint)
+    asked_2, _ = drive_restart(x0, [(10.0, 1), (100.0, 1)], objective, constraint)
+    assert np.array_equal(asked_1[0], x0)
+    assert np.array_equal(asked_1[1], x0 - optim.STEP_INIT * grad(x0, 10.0))
+    assert all(np.array_equal(a, b) for a, b in zip(asked_1, asked_2))
+    s, y = x1 - x0, grad(x1, 10.0) - grad(x0, 10.0)
+    gamma = (s @ y) / (y @ y)
+    assert not np.isclose(gamma * 10.0 / 100.0, optim.STEP_INIT)
+    trial = asked_2[len(asked_1)]
+    assert np.allclose(trial, x1 - gamma * (10.0 / 100.0) * grad(x1, 100.0), rtol=0, atol=1e-12)
 
 
 def test_constrained_restart_evaluates_no_point_twice():
